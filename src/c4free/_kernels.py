@@ -1,20 +1,13 @@
 """
-Hot numeric kernels: shifted power iteration on a dense adjacency matrix.
-
-Two interchangeable implementations exist: a numba @njit kernel and a pure
-numpy one. The numpy path is selected when numba is unavailable or when the
-environment variable C4FREE_NO_NUMBA is set (any non-empty value). The
-benchmark in benchmarks/bench_spectral.py compares the two.
+Hot numeric kernel: shifted power iteration on a dense adjacency matrix.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 
-def _power_iteration_numpy(a: np.ndarray, tol: float, max_iter: int):
+def power_iteration(a: np.ndarray, tol: float, max_iter: int):
     """Power iteration on A + I (shift kills the +/- degeneracy of bipartite
     spectra). Returns (mu, unit vector, residual, iterations, converged).
 
@@ -39,46 +32,3 @@ def _power_iteration_numpy(a: np.ndarray, tol: float, max_iter: int):
             return 0.0, v, 0.0, it, True
         v = w / nw
     return mu, v, res, it, False
-
-
-try:
-    if os.environ.get("C4FREE_NO_NUMBA"):
-        raise ImportError("numba disabled by C4FREE_NO_NUMBA")
-    from numba import njit
-
-    @njit(cache=True)
-    def _power_iteration_njit(a, tol, max_iter):  # pragma: no cover - jitted
-        n = a.shape[0]
-        v = np.full(n, 1.0 / np.sqrt(n))
-        mu = 0.0
-        res = 0.0
-        it = 0
-        while it < max_iter:
-            it += 1
-            av = a @ v
-            mu = 0.0
-            for i in range(n):
-                mu += v[i] * av[i]
-            res = 0.0
-            for i in range(n):
-                d = abs(av[i] - mu * v[i])
-                if d > res:
-                    res = d
-            if res <= tol:
-                return mu, v, res, it, True
-            nw = 0.0
-            for i in range(n):
-                av[i] += v[i]
-                nw += av[i] * av[i]
-            nw = np.sqrt(nw)
-            if nw == 0.0:
-                return 0.0, v, 0.0, it, True
-            for i in range(n):
-                v[i] = av[i] / nw
-        return mu, v, res, it, False
-
-    power_iteration = _power_iteration_njit
-    USING_NUMBA = True
-except ImportError:
-    power_iteration = _power_iteration_numpy
-    USING_NUMBA = False

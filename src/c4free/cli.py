@@ -14,15 +14,10 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import IO, Optional
+from typing import IO, Callable, Optional, Tuple
 
 from . import graph6
-from .enumeration import (
-    CapExceeded,
-    enumerate_c4free_by_edges,
-    enumerate_c4free_by_order,
-)
-from .graph import make_snk
+from .enumeration import enumerate_c4free_by_edges, enumerate_c4free_by_order
 from .search import hill_climb
 from .spectral import snk_cubic, snk_mu, spectral_radius
 from .verify import (
@@ -34,6 +29,7 @@ from .verify import (
     verify_k2k1,
     verify_small_m,
     verify_theorem1,
+    verify_theorem2,
 )
 
 CSV_COLUMNS = ["graph6", "n", "m", "mu", "bound", "slack", "classification"]
@@ -57,6 +53,8 @@ class _RecordWriter:
             self.csv.writerow(
                 [rec.graph_id, rec.n, rec.m, repr(rec.mu), repr(rec.bound), repr(rec.slack), rec.classification]
             )
+        elif self.fmt == "graph6-lines":
+            self.fh.write(rec.graph_id + "\n")
         else:
             self.fh.write(json.dumps(dataclasses.asdict(rec)) + "\n")
 
@@ -123,144 +121,173 @@ def _finish(args, summary: VerifySummary) -> int:
     return 0 if summary.ok else 2
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-12, help="eigensolver residual tolerance")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--output", help="per-graph record file")
-    p.add_argument("--format", choices=["json", "csv", "graph6-lines"], default="json")
-    p.add_argument("--certificate", help="write the summary certificate JSON here")
-    p.add_argument("--force", action="store_true", help="override desk-scale caps")
+def _verify(
+    fold: Callable[[argparse.Namespace, _RecordWriter], VerifySummary]
+) -> Callable[[argparse.Namespace], int]:
+    """Runner of a verify command: the fold streams its records to the
+    --output file; the summary is printed and certified by _finish."""
+
+    def run(args) -> int:
+        sink = _RecordWriter(args.output, args.format)
+        try:
+            summary = fold(args, sink)
+        finally:
+            sink.close()
+        return _finish(args, summary)
+
+    return run
+
+
+def _srg_table(args) -> int:
+    rows = srg_table_check()
+    print(json.dumps(rows, indent=2))
+    return 0 if all(r["ok"] for r in rows) else 2
+
+
+def _snk(args) -> int:
+    mu = snk_mu(args.n, args.k)
+    coeffs, _ = snk_cubic(args.n, args.k)
+    print(json.dumps({"n": args.n, "k": args.k, "mu": mu, "cubic": list(coeffs)}, indent=2))
+    return 0
+
+
+def _enumerate(args) -> int:
+    if args.m is not None:
+        stream = enumerate_c4free_by_edges(args.m, args.workers, args.force)
+    else:
+        stream = enumerate_c4free_by_order(args.n, args.workers, args.force)
+    fh = open(args.output, "w") if args.output else sys.stdout
+    try:
+        for g in stream:
+            fh.write(graph6.encode(g) + "\n")
+    finally:
+        if args.output:
+            fh.close()
+    return 0
+
+
+def _search(args) -> int:
+    state = hill_climb(args.m, args.restarts, args.seed, args.tol, args.workers)
+    out = {
+        "m": args.m,
+        "mu": state.mu,
+        "graph6": graph6.encode(state.current.strip_isolated()),
+        "seed": state.seed,
+        "moves": state.moves,
+    }
+    print(json.dumps(out, indent=2))
+    if args.output:
+        Path(args.output).write_text(json.dumps(state.moves, indent=2) + "\n")
+    return 0
+
+
+# flags shared by several commands; each command names the ones it reads
+_SHARED = {
+    "tol": dict(type=float, default=1e-12, help="eigensolver residual tolerance"),
+    "workers": dict(type=int, default=1),
+    "output": dict(help="per-graph record file"),
+    "format": dict(choices=["json", "csv", "graph6-lines"], default="json"),
+    "certificate": dict(help="write the summary certificate JSON here"),
+    "force": dict(action="store_true", help="override desk-scale caps"),
+}
+_VERIFY = ("tol", "workers", "output", "format", "certificate", "force")
+
+_M = ("--m", dict(type=int, required=True))
+_N = ("--n", dict(type=int, required=True))
+_K = ("--k", dict(type=int, required=True))
+
+
+@dataclasses.dataclass(frozen=True)
+class Command:
+    help: str
+    run: Callable[[argparse.Namespace], int]
+    flags: Tuple[Tuple[str, dict], ...]  # the command's own flags
+    shared: Tuple[str, ...]  # keys of _SHARED that the command reads
+    one_of: bool = False  # exactly one of the own flags is given
+
+
+# One entry per command: its help, its own flags, the shared flags it reads
+# and the function that runs it. The runners call the verify functions by
+# their module-level names, so a wrapper installed on those names later is
+# the one that runs.
+COMMANDS = {
+    "verify-th1": Command(
+        "max mu over C4-free graphs with m edges vs sqrt(m)",
+        _verify(lambda a, sink: verify_theorem1(a.m, a.tol, a.workers, sink, a.force)),
+        (_M,),
+        _VERIFY,
+    ),
+    "verify-th2": Command(
+        "equality classification at m edges (expect stars, plus S_{9,1} at m=9)",
+        _verify(lambda a, sink: verify_theorem2(a.m, a.tol, a.workers, sink, a.force)),
+        (_M,),
+        _VERIFY,
+    ),
+    "verify-small-m": Command(
+        "witnesses of mu > sqrt(m) for 4 <= m <= 8",
+        _verify(lambda a, sink: verify_small_m(a.m, a.tol, a.workers, sink)),
+        (_M,),
+        ("tol", "workers", "output", "format", "certificate"),
+    ),
+    "verify-in3": Command(
+        "mu^2 - mu <= n-1 over C4-free graphs of order n",
+        _verify(lambda a, sink: verify_in3(a.n, a.tol, a.workers, sink, a.force)),
+        (_N,),
+        _VERIFY,
+    ),
+    "verify-conjecture": Command(
+        "even-order cubic inequality over C4-free graphs",
+        _verify(lambda a, sink: verify_conjecture(a.n, a.tol, a.workers, sink, a.force)),
+        (_N,),
+        _VERIFY,
+    ),
+    "verify-k2k1": Command(
+        "mu^2 - mu <= k(n-1) over K_{2,k+1}-free graphs",
+        _verify(lambda a, sink: verify_k2k1(a.n, a.k, a.tol, a.workers, sink, a.force)),
+        (_N, _K),
+        _VERIFY,
+    ),
+    "srg-table": Command("exact identity check for the strongly regular table", _srg_table, (), ()),
+    "enumerate": Command(
+        "stream C4-free graphs as graph6 lines",
+        _enumerate,
+        (
+            ("--m", dict(type=int, help="by edge count, no isolated vertices")),
+            ("--n", dict(type=int, help="by order, isolated vertices allowed")),
+        ),
+        ("workers", "output", "force"),
+        one_of=True,
+    ),
+    "search": Command(
+        "hill-climb mu over C4-free graphs with m edges",
+        _search,
+        (_M, ("--restarts", dict(type=int, default=5)), ("--seed", dict(type=int, default=0))),
+        ("tol", "workers", "output"),
+    ),
+    "snk": Command("closed-form spectral radius of S_{n,k}", _snk, (_N, _K), ()),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="c4free", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify-th1", help="max mu over C4-free graphs with m edges vs sqrt(m)")
-    p.add_argument("--m", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("verify-th2", help="equality classification at m edges (expect stars, plus S_{9,1} at m=9)")
-    p.add_argument("--m", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("verify-small-m", help="witnesses of mu > sqrt(m) for 4 <= m <= 8")
-    p.add_argument("--m", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("verify-in3", help="mu^2 - mu <= n-1 over C4-free graphs of order n")
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("verify-conjecture", help="even-order cubic inequality over C4-free graphs")
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("verify-k2k1", help="mu^2 - mu <= k(n-1) over K_{2,k+1}-free graphs")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("srg-table", help="exact identity check for the strongly regular table")
-    _add_common(p)
-
-    p = sub.add_parser("enumerate", help="stream C4-free graphs as graph6 lines")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--m", type=int, help="by edge count, no isolated vertices")
-    g.add_argument("--n", type=int, help="by order, isolated vertices allowed")
-    _add_common(p)
-
-    p = sub.add_parser("search", help="hill-climb mu over C4-free graphs with m edges")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-
-    p = sub.add_parser("snk", help="closed-form spectral radius of S_{n,k}")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_common(p)
-
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        own = p.add_mutually_exclusive_group(required=True) if cmd.one_of else p
+        for flag, kwargs in cmd.flags:
+            own.add_argument(flag, **kwargs)
+        for key in cmd.shared:
+            p.add_argument(f"--{key}", **_SHARED[key])
     return ap
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
-    except CapExceeded as exc:
+        return COMMANDS[args.command].run(args)
+    except (ValueError, OSError) as exc:  # CapExceeded is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-
-def _dispatch(args) -> int:
-    if args.command == "srg-table":
-        rows = srg_table_check()
-        print(json.dumps(rows, indent=2))
-        return 0 if all(r["ok"] for r in rows) else 2
-
-    if args.command == "snk":
-        mu = snk_mu(args.n, args.k)
-        coeffs, _ = snk_cubic(args.n, args.k)
-        print(json.dumps({"n": args.n, "k": args.k, "mu": mu, "cubic": list(coeffs)}, indent=2))
-        return 0
-
-    if args.command == "enumerate":
-        if args.m is not None:
-            stream = enumerate_c4free_by_edges(args.m, args.workers, args.force)
-        else:
-            stream = enumerate_c4free_by_order(args.n, args.workers, args.force)
-        fh = open(args.output, "w") if args.output else sys.stdout
-        try:
-            for g in stream:
-                fh.write(graph6.encode(g) + "\n")
-        finally:
-            if args.output:
-                fh.close()
-        return 0
-
-    if args.command == "search":
-        state = hill_climb(args.m, args.restarts, args.seed, args.tol, args.workers)
-        out = {
-            "m": args.m,
-            "mu": state.mu,
-            "graph6": graph6.encode(state.current.strip_isolated()),
-            "seed": state.seed,
-            "moves": state.moves,
-        }
-        print(json.dumps(out, indent=2))
-        if args.output:
-            Path(args.output).write_text(json.dumps(state.moves, indent=2) + "\n")
-        return 0
-
-    sink = _RecordWriter(args.output, args.format)
-    try:
-        if args.command == "verify-th1":
-            summary = verify_theorem1(args.m, args.tol, args.workers, sink, args.force)
-        elif args.command == "verify-th2":
-            summary = verify_theorem1(args.m, args.tol, args.workers, sink, args.force)
-            expected = {"equality-star"} | ({"equality-S91"} if args.m == 9 else set())
-            for rec in summary.equalities:
-                if rec.classification not in expected:
-                    summary.findings.append(
-                        f"unexpected equality class {rec.classification} at {rec.graph_id}"
-                    )
-        elif args.command == "verify-small-m":
-            summary = verify_small_m(args.m, args.tol, args.workers, sink)
-        elif args.command == "verify-in3":
-            summary = verify_in3(args.n, args.tol, args.workers, sink, args.force)
-        elif args.command == "verify-conjecture":
-            summary = verify_conjecture(args.n, args.tol, args.workers, sink, args.force)
-        elif args.command == "verify-k2k1":
-            summary = verify_k2k1(args.n, args.k, args.tol, args.workers, sink, args.force)
-        else:  # pragma: no cover
-            raise ValueError(f"unhandled command {args.command}")
-    finally:
-        sink.close()
-    return _finish(args, summary)
 
 
 if __name__ == "__main__":

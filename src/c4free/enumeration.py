@@ -58,7 +58,7 @@ def enumerate_c4free_by_edges(m: int, workers: int = 1, cap_override: bool = Fal
     EnumSpec("by-edges", m, 1, cap_override).validate()
     level = {canonical_form(Graph.from_edges(2, [(0, 1)])): Graph.from_edges(2, [(0, 1)])}
     for _ in range(m - 1):
-        level = _next_level_by_edges(level, 1, workers)
+        level = _merge_levels(level, 1, True, workers)
     for key in sorted(level):
         yield level[key]
 
@@ -80,7 +80,7 @@ def enumerate_kfree_by_order(
     while level:
         for key in sorted(level):
             yield level[key]
-        level = _next_level_fixed_order(level, k, workers)
+        level = _merge_levels(level, k, False, workers)
 
 
 def _extend_by_edges(g: Graph, k: int) -> List[Graph]:
@@ -125,17 +125,13 @@ def _merge_levels(
     plist = [parents[key] for key in sorted(parents)]
     if workers <= 1 or len(plist) < 4 * workers:
         return _children_chunk((plist, k, by_edges))
-    chunks = [plist[i::workers] for i in range(workers)]
+    # contiguous chunks merged in order, first occurrence kept: the same
+    # representatives as the one-worker scan, whatever the worker count
+    size = -(-len(plist) // workers)
+    chunks = [plist[i : i + size] for i in range(0, len(plist), size)]
     merged: Dict[bytes, Graph] = {}
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for part in pool.map(_children_chunk, [(c, k, by_edges) for c in chunks]):
-            merged.update(part)
+            for key, child in part.items():
+                merged.setdefault(key, child)
     return merged
-
-
-def _next_level_by_edges(parents: Dict[bytes, Graph], k: int, workers: int) -> Dict[bytes, Graph]:
-    return _merge_levels(parents, k, True, workers)
-
-
-def _next_level_fixed_order(parents: Dict[bytes, Graph], k: int, workers: int) -> Dict[bytes, Graph]:
-    return _merge_levels(parents, k, False, workers)

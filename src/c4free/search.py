@@ -190,8 +190,6 @@ def _random_tree(n: int, rng: random.Random) -> Graph:
     for v in prufer:
         degree[v] += 1
     edges = []
-    import heapq
-
     leaves = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaves)
     for v in prufer:

@@ -1,17 +1,20 @@
 """
 Fold bound checks over enumeration streams and classify equality cases.
 
-Each graph in a stream yields a VerificationRecord; violations are only
-reported after an independent recomputation at 10x tighter tolerance, and
-equality is only claimed when a structural test (star / S_{n,k} /
-friendship) confirms the float coincidence.
+Every check is a spec (`_Check`: the stream, the quantity of mu that is
+checked, its bound, the equality classifier and the expected equality
+classes) run by one fold, `_fold`. Each graph in a stream yields a
+VerificationRecord; violations are only reported after an independent
+recomputation at 10x tighter tolerance, and equality is only claimed when a
+structural test (star / S_{n,k} / friendship) confirms the float
+coincidence.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, FrozenSet, Iterable, List, Optional
 
 from . import graph6
 from .canon import canonical_form
@@ -21,7 +24,7 @@ from .enumeration import (
     enumerate_kfree_by_order,
 )
 from .graph import Graph, is_star, make_snk, snk_shape
-from .spectral import DEFAULT_TOL, SpectralResult, spectral_radius
+from .spectral import DEFAULT_TOL, spectral_radius
 
 EQ_TOL = 1e-9
 
@@ -31,6 +34,7 @@ EQ_S91 = "equality-S91"
 EQ_FRIENDSHIP = "equality-friendship"
 EQ_SNK = "equality-snk"
 VIOLATION = "VIOLATION"
+WITNESS = "witness"
 EQ_UNEXPLAINED = "equality-unexplained"
 
 
@@ -74,62 +78,80 @@ RecordSink = Optional[Callable[[VerificationRecord], None]]
 
 def classify_equality(g: Graph) -> str:
     """Structural class of an equality candidate; priority order matches the
-    paper's special graphs."""
+    paper's special graphs. S_{9,1}, the graph the paper names at m = 9,
+    keeps its own label among the S_{n,k}."""
     if is_star(g):
         return EQ_STAR
     h = g.strip_isolated()
-    if h.n == 9 and canonical_form(h) == canonical_form(make_snk(9, 1)):
-        return EQ_S91
     if h.n >= 3 and h.is_friendship_condition():
         return EQ_FRIENDSHIP
     shape = snk_shape(h)
     if shape is not None and canonical_form(h) == canonical_form(make_snk(shape.n, shape.k)):
-        return EQ_SNK
+        return EQ_S91 if (shape.n, shape.k) == (9, 1) else EQ_SNK
     return EQ_UNEXPLAINED
 
 
-def _record(
-    g: Graph,
-    mu_result: SpectralResult,
-    quantity_fn: Callable[[float], float],
-    bound: float,
-    tol: float,
-    summary: VerifySummary,
-    sink: RecordSink,
-    equality_check: Optional[Callable[[Graph], Optional[str]]] = None,
-) -> VerificationRecord:
-    """Compare quantity_fn(mu) <= bound, classify, aggregate into summary."""
-    quantity = quantity_fn(mu_result.mu)
-    slack = bound - quantity
-    if slack < -EQ_TOL:
-        # never report a violation off a single float pass
-        confirm = spectral_radius(g, tol / 10)
-        slack = bound - quantity_fn(confirm.mu)
-        mu_result = confirm
-    if slack < -EQ_TOL:
-        cls = VIOLATION
-        rec = VerificationRecord(graph6.encode(g), g.n, g.m, mu_result.mu, bound, slack, cls)
-        summary.violations.append(
-            ViolationCertificate(rec, [float(x) for x in mu_result.vec], True)
-        )
-    elif abs(slack) <= EQ_TOL:
-        cls = classify_equality(g) if equality_check is None else (equality_check(g) or EQ_UNEXPLAINED)
-        rec = VerificationRecord(graph6.encode(g), g.n, g.m, mu_result.mu, bound, slack, cls)
-        summary.equalities.append(rec)
-        if cls == EQ_UNEXPLAINED:
-            summary.findings.append(
-                f"equality at {rec.graph_id} matches no expected structure"
-            )
-    else:
-        rec = VerificationRecord(graph6.encode(g), g.n, g.m, mu_result.mu, bound, slack, STRICT)
-    summary.count += 1
-    if mu_result.mu > summary.max_mu:
-        summary.max_mu = mu_result.mu
-        summary.max_mu_graph = rec.graph_id
-    summary.min_slack = min(summary.min_slack, slack)
-    if sink:
-        sink(rec)
-    return rec
+@dataclass(frozen=True)
+class _Check:
+    """One bound check: quantity(mu) <= bound over every graph of a stream."""
+
+    check: str
+    param: dict
+    graphs: Iterable[Graph]
+    quantity: Callable[[float], float]
+    bound: float
+    # structural class of a record at the bound, None for no class; without
+    # a classifier a record at the bound is strict like any other
+    classify: Optional[Callable[[Graph], Optional[str]]]
+    # equality classes the statement names; any other becomes a finding
+    expected: Optional[FrozenSet[str]] = None
+    # label of a record above the bound: a violation is rechecked and fails
+    # the check, a witness is what the check looks for
+    above: str = VIOLATION
+
+
+def _fold(spec: _Check, tol: float, sink: RecordSink) -> VerifySummary:
+    """Compare spec.quantity(mu) <= spec.bound for every graph, classify,
+    aggregate into one summary."""
+    summary = VerifySummary(spec.check, spec.param)
+    for g in spec.graphs:
+        r = spectral_radius(g, tol)
+        slack = spec.bound - spec.quantity(r.mu)
+        if slack < -EQ_TOL and spec.above == VIOLATION:
+            # never report a violation off a single float pass
+            r = spectral_radius(g, tol / 10)
+            slack = spec.bound - spec.quantity(r.mu)
+        if slack < -EQ_TOL:
+            cls = spec.above
+        elif abs(slack) <= EQ_TOL and spec.classify is not None:
+            cls = spec.classify(g) or EQ_UNEXPLAINED
+        else:
+            cls = STRICT
+        rec = VerificationRecord(graph6.encode(g), g.n, g.m, r.mu, spec.bound, slack, cls)
+        if cls == VIOLATION:
+            summary.violations.append(ViolationCertificate(rec, [float(x) for x in r.vec], True))
+        elif cls != STRICT:
+            summary.equalities.append(rec)
+            if cls == EQ_UNEXPLAINED:
+                summary.findings.append(f"equality at {rec.graph_id} matches no expected structure")
+        summary.count += 1
+        if r.mu > summary.max_mu:
+            summary.max_mu = r.mu
+            summary.max_mu_graph = rec.graph_id
+        summary.min_slack = min(summary.min_slack, slack)
+        if sink:
+            sink(rec)
+    if spec.expected is not None:
+        for rec in summary.equalities:
+            if rec.classification not in spec.expected:
+                summary.findings.append(f"unexpected equality class {rec.classification} at {rec.graph_id}")
+    return summary
+
+
+def _by_edges(check: str, m: int, workers: int, cap_override: bool = False, **spec) -> _Check:
+    """mu <= sqrt(m) over the C4-free graphs with m edges."""
+    graphs = enumerate_c4free_by_edges(m, workers, cap_override)
+    return _Check(check, {"m": m}, graphs, lambda mu: mu, math.sqrt(m), **spec)
 
 
 def verify_theorem1(
@@ -143,12 +165,23 @@ def verify_theorem1(
     mu <= sqrt(m); reports the maximum and all equality classes."""
     if m < 9:
         raise ValueError("theorem applies for m >= 9; use verify_small_m below")
-    summary = VerifySummary("theorem1", {"m": m})
-    bound = math.sqrt(m)
-    for g in enumerate_c4free_by_edges(m, workers, cap_override):
-        r = spectral_radius(g, tol)
-        _record(g, r, lambda mu: mu, bound, tol, summary, sink)
-    return summary
+    return _fold(_by_edges("theorem1", m, workers, cap_override, classify=classify_equality), tol, sink)
+
+
+def verify_theorem2(
+    m: int,
+    tol: float = DEFAULT_TOL,
+    workers: int = 1,
+    sink: RecordSink = None,
+    cap_override: bool = False,
+) -> VerifySummary:
+    """Theorem 1's check, with every equality class besides the ones the
+    paper states (stars, and S_{9,1} at m = 9) reported as a finding."""
+    if m < 9:
+        raise ValueError("theorem applies for m >= 9; use verify_small_m below")
+    expected = frozenset({EQ_STAR, EQ_S91} if m == 9 else {EQ_STAR})
+    spec = _by_edges("theorem1", m, workers, cap_override, classify=classify_equality, expected=expected)
+    return _fold(spec, tol, sink)
 
 
 def verify_small_m(
@@ -156,25 +189,11 @@ def verify_small_m(
 ) -> VerifySummary:
     """For 4 <= m <= 9: find every C4-free graph with m edges whose spectral
     radius strictly exceeds sqrt(m). Nonempty (contains S_{m,1}) for
-    m <= 8, empty for m = 9."""
+    m <= 8, empty for m = 9. The witnesses are the summary's equalities;
+    every other record is strict."""
     if not 4 <= m <= 9:
         raise ValueError("small-m check covers 4 <= m <= 9")
-    summary = VerifySummary("small-m", {"m": m})
-    bound = math.sqrt(m)
-    for g in enumerate_c4free_by_edges(m, workers):
-        r = spectral_radius(g, tol)
-        summary.count += 1
-        if r.mu > summary.max_mu:
-            summary.max_mu = r.mu
-            summary.max_mu_graph = graph6.encode(g)
-        if r.mu > bound + EQ_TOL:
-            rec = VerificationRecord(
-                graph6.encode(g), g.n, g.m, r.mu, bound, bound - r.mu, "witness"
-            )
-            summary.equalities.append(rec)  # witnesses of mu > sqrt(m)
-            if sink:
-                sink(rec)
-    return summary
+    return _fold(_by_edges("small-m", m, workers, classify=None, above=WITNESS), tol, sink)
 
 
 def verify_in3(
@@ -186,19 +205,15 @@ def verify_in3(
 ) -> VerifySummary:
     """mu^2 - mu <= n-1 over all C4-free graphs of order n; equality only at
     the friendship graph (odd n)."""
-    summary = VerifySummary("in3", {"n": n})
-    bound = float(n - 1)
 
-    def eq_check(g: Graph) -> Optional[str]:
+    def friendship(g: Graph) -> Optional[str]:
         h = g.strip_isolated()
         if h.n >= 3 and h.n == n and h.is_friendship_condition():
             return EQ_FRIENDSHIP
         return None
 
-    for g in enumerate_c4free_by_order(n, workers, cap_override):
-        r = spectral_radius(g, tol)
-        _record(g, r, lambda mu: mu * mu - mu, bound, tol, summary, sink, eq_check)
-    return summary
+    graphs = enumerate_c4free_by_order(n, workers, cap_override)
+    return _fold(_Check("in3", {"n": n}, graphs, lambda mu: mu * mu - mu, float(n - 1), friendship), tol, sink)
 
 
 def verify_conjecture(
@@ -219,23 +234,17 @@ def verify_conjecture(
     root)."""
     if n % 2:
         raise ValueError("the conjecture is about even order")
-    summary = VerifySummary("conjecture", {"n": n})
     k_eq = n // 2 - 1
     if k_eq > (n - 1) // 2:
         k_eq = (n - 1) // 2
     target = canonical_form(make_snk(n, k_eq))
 
-    def eq_check(g: Graph) -> Optional[str]:
-        if canonical_form(g) == target:
-            return EQ_SNK
-        return None
+    def snk(g: Graph) -> Optional[str]:
+        return EQ_SNK if canonical_form(g) == target else None
 
-    for g in enumerate_c4free_by_order(n, workers, cap_override):
-        if g.m == 0:
-            continue
-        r = spectral_radius(g, tol)
-        _record(g, r, lambda mu: mu**3 - mu**2 - (n - 1) * mu + 1.0, 0.0, tol, summary, sink, eq_check)
-    return summary
+    graphs = (g for g in enumerate_c4free_by_order(n, workers, cap_override) if g.m)
+    spec = _Check("conjecture", {"n": n}, graphs, lambda mu: mu**3 - mu**2 - (n - 1) * mu + 1.0, 0.0, snk)
+    return _fold(spec, tol, sink)
 
 
 def verify_k2k1(
@@ -252,10 +261,8 @@ def verify_k2k1(
     regular table satisfies; equality requires every vertex pair to have
     exactly k common neighbors.
     """
-    summary = VerifySummary("k2k1", {"n": n, "k": k})
-    bound = float(k) * (n - 1)
 
-    def eq_check(g: Graph) -> Optional[str]:
+    def k_common(g: Graph) -> Optional[str]:
         h = g.strip_isolated()
         if h.n != n or h.n < 2:
             return None
@@ -265,10 +272,9 @@ def verify_k2k1(
             return "equality-k-common"
         return None
 
-    for g in enumerate_kfree_by_order(n, k, workers, cap_override):
-        r = spectral_radius(g, tol)
-        _record(g, r, lambda mu: mu * mu - mu, bound, tol, summary, sink, eq_check)
-    return summary
+    graphs = enumerate_kfree_by_order(n, k, workers, cap_override)
+    spec = _Check("k2k1", {"n": n, "k": k}, graphs, lambda mu: mu * mu - mu, float(k) * (n - 1), k_common)
+    return _fold(spec, tol, sink)
 
 
 SRG_TABLE = [

@@ -3,11 +3,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from c4free import graph6
-from c4free.cli import _RecordWriter, emit_certificate, main
+from c4free.cli import COMMANDS, _RecordWriter, emit_certificate, main
 from c4free.spectral import spectral_radius
 from c4free.verify import VerificationRecord
 
@@ -121,3 +123,55 @@ def test_csv_header(tmp_path, capsys):
     with open(out) as fh:
         header = next(csv.reader(fh))
     assert header == ["graph6", "n", "m", "mu", "bound", "slack", "classification"]
+
+
+def test_graph6_lines_records(tmp_path, capsys):
+    out = tmp_path / "rec.g6"
+    code, stdout = run(capsys, "verify-in3", "--n", "4", "--output", str(out), "--format", "graph6-lines")
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == json.loads(stdout)["count"] == 8
+    assert all(graph6.decode(line).n == 4 for line in lines)
+
+
+def _no_constants(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+# one small run of every verify command of the table, with its exit code
+VERIFY_RUNS = {
+    "verify-th1": (["--m", "9"], 0),
+    "verify-th2": (["--m", "9"], 2),
+    "verify-small-m": (["--m", "4"], 0),
+    "verify-in3": (["--n", "5"], 0),
+    "verify-conjecture": (["--n", "4"], 0),
+    "verify-k2k1": (["--n", "4", "--k", "2"], 0),
+}
+
+
+def test_verify_runs_cover_the_table():
+    assert set(VERIFY_RUNS) == {name for name in COMMANDS if name.startswith("verify-")}
+
+
+@pytest.mark.parametrize("command", sorted(VERIFY_RUNS))
+def test_verify_command_strict_json(command, capsys):
+    argv, expected = VERIFY_RUNS[command]
+    code, out = run(capsys, command, *argv)
+    assert code == expected
+    payload = json.loads(out, parse_constant=_no_constants)
+    assert payload["count"] > 0 and math.isfinite(payload["min_slack"])
+
+
+@pytest.mark.parametrize("size", [["--m", "8"], ["--n", "6"]])
+def test_enumerate_independent_of_workers(size, capsys):
+    _, one = run(capsys, "enumerate", *size, "--workers", "1")
+    _, two = run(capsys, "enumerate", *size, "--workers", "2")
+    assert one == two
+
+
+def test_readme_lists_every_flag():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    for name, cmd in COMMANDS.items():
+        flags = [flag for flag, _ in cmd.flags] + [f"--{key}" for key in cmd.shared]
+        row = next(line for line in readme if line.startswith(f"| `{name}` |"))
+        assert re.findall(r"`(--[a-z]+)`", row) == flags, name
