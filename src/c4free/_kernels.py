@@ -1,5 +1,11 @@
 """
-Hot numeric kernel: shifted power iteration on a dense adjacency matrix.
+Reference eigensolver: shifted power iteration on a dense adjacency matrix.
+
+The program does not call it. `spectral.spectral_radius` solves each
+component with numpy.linalg.eigh, whose LAPACK routine numpy.linalg.eigvalsh
+shares, so an eigvalsh oracle is not independent of the code under test. The
+tests compare spectral_radius against this loop instead: plain matrix-vector
+products, no LAPACK.
 """
 
 from __future__ import annotations

@@ -269,14 +269,10 @@ def hill_climb(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            states = list(pool.map(_climb_worker, [(m, s, tol) for s in seeds]))
+            states = list(pool.map(_climb_once, [m] * restarts, seeds, [tol] * restarts))
     else:
         states = [_climb_once(m, s, tol) for s in seeds]
     return max(states, key=lambda st: st.mu)
-
-
-def _climb_worker(args: Tuple[int, int, float]) -> SearchState:
-    return _climb_once(*args)
 
 
 def claim1_check(g: Graph, u: int, v: int) -> bool:

@@ -175,3 +175,9 @@ def test_readme_lists_every_flag():
         flags = [flag for flag, _ in cmd.flags] + [f"--{key}" for key in cmd.shared]
         row = next(line for line in readme if line.startswith(f"| `{name}` |"))
         assert re.findall(r"`(--[a-z]+)`", row) == flags, name
+
+
+def test_readme_library_example():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(block, "README.md", "exec"), {})

@@ -158,7 +158,8 @@ class TestHillClimb:
     def test_deterministic(self):
         a = hill_climb(7, restarts=2, seed=3)
         b = hill_climb(7, restarts=2, seed=3)
-        assert a.mu == b.mu and a.moves == b.moves
+        c = hill_climb(7, restarts=2, seed=3, workers=2)
+        assert a.mu == b.mu == c.mu and a.moves == b.moves == c.moves
 
     def test_move_log_strictly_increasing(self):
         st = hill_climb(10, restarts=3, seed=1)

@@ -6,8 +6,10 @@ import random
 import numpy as np
 import pytest
 
+from c4free._kernels import power_iteration
 from c4free.graph import Graph, make_friendship, make_snk, make_star
 from c4free.spectral import (
+    ConvergenceError,
     max_entry_ok,
     rayleigh,
     snk_bound_identity,
@@ -21,10 +23,23 @@ from conftest import random_connected_graph, random_graph
 
 
 def eig_oracle(g: Graph) -> float:
-    """Independent dense eigensolver."""
+    """Dense eigensolver; the same LAPACK routine as spectral_radius."""
     if g.n == 0:
         return 0.0
     return float(np.max(np.linalg.eigvalsh(to_numpy(g))))
+
+
+def power_oracle(g: Graph) -> list[tuple[list[int], float, np.ndarray]]:
+    """(component, mu, Perron vector) of each component with an edge, by
+    power iteration: no LAPACK, so independent of spectral_radius."""
+    a = to_numpy(g)
+    out = []
+    for comp in g.components():
+        if len(comp) > 1:
+            mu, vec, _, _, ok = power_iteration(a[np.ix_(comp, comp)], 1e-12, 10**6)
+            assert ok
+            out.append((comp, mu, vec))
+    return out
 
 
 class TestSpectralRadius:
@@ -54,7 +69,17 @@ class TestSpectralRadius:
     def test_against_dense_oracle(self, rng):
         for _ in range(200):
             g = random_graph(rng, rng.randint(1, 12))
-            assert spectral_radius(g).mu == pytest.approx(eig_oracle(g), abs=1e-9)
+            r = spectral_radius(g)
+            assert r.mu == pytest.approx(eig_oracle(g), abs=1e-9)
+            solved = power_oracle(g)
+            assert r.mu == pytest.approx(max((mu for _, mu, _ in solved), default=0.0), abs=1e-10)
+            if solved:
+                # the vector is the Perron vector of one component of
+                # maximal mu, and zero elsewhere
+                comp, mu, vec = next(s for s in solved if r.vec[s[0][0]] > 0)
+                assert mu == pytest.approx(r.mu, abs=1e-10)
+                assert r.vec[comp] == pytest.approx(vec, abs=1e-9)
+                assert np.count_nonzero(r.vec) == len(comp)
 
     def test_disconnected_support(self):
         # K_3 plus K_2: vector lives on the triangle
@@ -81,6 +106,10 @@ class TestSpectralRadius:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             spectral_radius(make_star(3), tol=0.0)
+
+    def test_tol_below_double_precision(self):
+        with pytest.raises(ConvergenceError):
+            spectral_radius(make_star(10), tol=1e-300)
 
 
 class TestRayleigh:
