@@ -110,18 +110,6 @@ class Graph:
         at least two common neighbors."""
         return self.has_k2kp1(1)
 
-    def is_friendship_condition(self) -> bool:
-        """True iff every pair of vertices has exactly one common neighbor."""
-        if self.n < 3:
-            raise GraphError("friendship condition needs n >= 3")
-        rows = self.rows
-        for u in range(self.n):
-            ru = rows[u]
-            for v in range(u + 1, self.n):
-                if (ru & rows[v]).bit_count() != 1:
-                    return False
-        return True
-
     def strip_isolated(self) -> "Graph":
         """Drop degree-0 vertices and relabel the rest compactly."""
         keep = [i for i in range(self.n) if self.rows[i]]
@@ -234,37 +222,3 @@ def adding_edge_creates_k2kp1(g: Graph, u: int, v: int, k: int) -> bool:
         if x != v and (rows[v] & rows[x]).bit_count() > k:
             return True
     return False
-
-
-def is_star(g: Graph) -> bool:
-    """Is g (after dropping isolated vertices) a star K_{1,q}, q >= 1?"""
-    h = g.strip_isolated()
-    if h.n < 2 or h.m != h.n - 1:
-        return False
-    return max(h.degree(u) for u in range(h.n)) == h.n - 1
-
-
-def snk_shape(g: Graph) -> SnkParams | None:
-    """If g (isolated vertices dropped) is some S_{n,k} with k >= 1, return
-    its parameters, else None. Stars are excluded (use is_star)."""
-    h = g.strip_isolated()
-    n = h.n
-    if n < 3:
-        return None
-    hubs = [u for u in range(n) if h.degree(u) == n - 1]
-    if len(hubs) != 1:
-        # K_3 = S_{3,1} has three dominating vertices; any larger S_{n,k}
-        # with k >= 1 has exactly one.
-        if n == 3 and h.m == 3:
-            return SnkParams(3, 1)
-        return None
-    k = h.m - (n - 1)
-    if k <= 0 or k > (n - 1) // 2:
-        return None
-    # with a unique hub, degree <= 2 on every leaf forces the leaf edges to
-    # form a matching, so the edge count pins down k
-    hub = hubs[0]
-    for u in range(n):
-        if u != hub and h.degree(u) not in (1, 2):
-            return None
-    return SnkParams(n, k)

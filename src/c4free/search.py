@@ -93,10 +93,10 @@ def propose_moves(g: Graph, x: np.ndarray) -> List[Move]:
     """Candidate edge-count-preserving rewires, ordered by predicted
     Rayleigh gain (descending).
 
-    Includes every single-edge rewire plus the multi-edge relocations the
-    extremal argument uses: moving a leaf to the heaviest vertex, pulling an
-    isolated edge of G[W] onto it, relocating a 3-path, and swapping the
-    anchor of a path endpoint.
+    Includes every single-edge rewire (moving a leaf to the heaviest vertex
+    and swapping the anchor of a path endpoint among them) plus the
+    multi-edge relocations the extremal argument uses: pulling an isolated
+    edge of G[W] onto the heaviest vertex, and relocating a 3-path.
     """
     moves: dict[Tuple[Tuple[Edge, ...], Tuple[Edge, ...]], Move] = {}
     edges = list(g.edges())
@@ -125,12 +125,6 @@ def propose_moves(g: Graph, x: np.ndarray) -> List[Move]:
                 consider([e], [ne])
 
     top = int(np.argmax(x))
-    # leaf relocation: degree-1 vertex moves to the heaviest vertex
-    for u in range(g.n):
-        if g.degree(u) == 1 and u != top:
-            v = next(_bits(g.rows[u]))
-            if v != top:
-                consider([(u, v)], [(u, top)])
     # isolated-edge and path relocations onto the heaviest vertex
     for u, v in edges:
         if top in (u, v):
@@ -140,9 +134,6 @@ def propose_moves(g: Graph, x: np.ndarray) -> List[Move]:
             kv = next(a for a in _bits(g.rows[v]) if a != u)
             if top not in (ku, kv):
                 consider([(u, ku), (v, kv)], [(u, top), (v, top)])
-            # endpoint swap: re-anchor v next to u's anchor
-            if ku not in (kv, v) and not g.has_edge(v, ku):
-                consider([(v, kv)], [(v, ku)])
     for v in range(g.n):
         if g.degree(v) == 2 and v != top:
             u, w = list(_bits(g.rows[v]))

@@ -6,9 +6,8 @@ checked, its bound, the equality classifier and the expected equality
 classes) run by one fold, `_fold`. Each graph in a stream yields a
 VerificationRecord; a violation is only reported after the same eigensolve
 runs again with its residual held to a 10x tighter tolerance (a recheck of
-the residual, not a second method), and equality is only claimed when a
-structural test (star / S_{n,k} / friendship) confirms the float
-coincidence.
+the residual, not a second method), and equality is only claimed when one
+isomorphism test against S_{n,k} confirms the float coincidence.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from .enumeration import (
     enumerate_c4free_by_order,
     enumerate_kfree_by_order,
 )
-from .graph import Graph, is_star, make_snk, snk_shape
+from .graph import Graph, SnkParams, make_snk
 from .spectral import DEFAULT_TOL, spectral_radius
 
 EQ_TOL = 1e-9
@@ -77,19 +76,31 @@ class VerifySummary:
 RecordSink = Optional[Callable[[VerificationRecord], None]]
 
 
-def classify_equality(g: Graph) -> str:
-    """Structural class of an equality candidate; priority order matches the
-    paper's special graphs. S_{9,1}, the graph the paper names at m = 9,
-    keeps its own label among the S_{n,k}."""
-    if is_star(g):
-        return EQ_STAR
+def snk_params(g: Graph) -> Optional[SnkParams]:
+    """(n, k) if g without its isolated vertices is isomorphic to S_{n,k},
+    else None. S_{n,k} has m = n - 1 + k edges, so k = m - n + 1 is the
+    only candidate."""
     h = g.strip_isolated()
-    if h.n >= 3 and h.is_friendship_condition():
+    k = h.m - h.n + 1
+    if not 0 <= k <= (h.n - 1) // 2:
+        return None
+    if canonical_form(h) != canonical_form(make_snk(h.n, k)):
+        return None
+    return SnkParams(h.n, k)
+
+
+def classify_equality(g: Graph) -> str:
+    """Structural class of an equality candidate: the star S_{n,0}, the
+    friendship graph S_{2k+1,k}, or another S_{n,k}. S_{9,1}, the graph the
+    paper names at m = 9, keeps its own label among the S_{n,k}."""
+    p = snk_params(g)
+    if p is None:
+        return EQ_UNEXPLAINED
+    if p.k == 0:
+        return EQ_STAR
+    if p.n == 2 * p.k + 1:
         return EQ_FRIENDSHIP
-    shape = snk_shape(h)
-    if shape is not None and canonical_form(h) == canonical_form(make_snk(shape.n, shape.k)):
-        return EQ_S91 if (shape.n, shape.k) == (9, 1) else EQ_SNK
-    return EQ_UNEXPLAINED
+    return EQ_S91 if (p.n, p.k) == (9, 1) else EQ_SNK
 
 
 @dataclass(frozen=True)
@@ -208,10 +219,8 @@ def verify_in3(
     the friendship graph (odd n)."""
 
     def friendship(g: Graph) -> Optional[str]:
-        h = g.strip_isolated()
-        if h.n >= 3 and h.n == n and h.is_friendship_condition():
-            return EQ_FRIENDSHIP
-        return None
+        p = snk_params(g)
+        return EQ_FRIENDSHIP if p is not None and p.n == n == 2 * p.k + 1 else None
 
     graphs = enumerate_c4free_by_order(n, workers, cap_override)
     return _fold(_Check("in3", {"n": n}, graphs, lambda mu: mu * mu - mu, float(n - 1), friendship), tol, sink)
@@ -235,10 +244,9 @@ def verify_conjecture(
     root)."""
     if n % 2:
         raise ValueError("the conjecture is about even order")
-    target = canonical_form(make_snk(n, n // 2 - 1))
 
     def snk(g: Graph) -> Optional[str]:
-        return EQ_SNK if canonical_form(g) == target else None
+        return EQ_SNK if snk_params(g) == SnkParams(n, n // 2 - 1) else None
 
     graphs = (g for g in enumerate_c4free_by_order(n, workers, cap_override) if g.m)
     spec = _Check("conjecture", {"n": n}, graphs, lambda mu: mu**3 - mu**2 - (n - 1) * mu + 1.0, 0.0, snk)

@@ -4,14 +4,21 @@ networkx graph atlas (every graph up to order 7): by-order counts come
 straight from the atlas, by-edges counts from multisets of connected
 atlas graphs (a graph with m <= 6 edges and minimum degree 1 has
 components with at most 7 vertices each).
+
+Beyond the atlas, by-order classes are checked by orbit counting: a class
+G on n vertices has n!/|Aut G| labelled copies, so these sum over the
+classes to the number of labelled graphs, which a vertex-by-vertex search
+counts without c4free.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import factorial
 
 import networkx as nx
 import pytest
+from networkx.algorithms.isomorphism import GraphMatcher
 from networkx.generators.atlas import graph_atlas_g
 
 from c4free import graph6
@@ -62,6 +69,50 @@ def oracle_count_by_edges(m: int) -> int:
         return total
 
     return count(0, m)
+
+
+def labelled_count(n: int, k: int) -> int:
+    """Labelled K_{2,k+1}-free graphs on vertices 0..n-1. Vertices are added
+    in turn, each with every neighbourhood among the earlier vertices that
+    creates no K_{2,k+1}: a pair inside the neighbourhood gains the new
+    vertex as a common neighbour, and an earlier vertex x has the members
+    of the neighbourhood adjacent to x in common with the new vertex."""
+
+    def extend(rows, chosen=0, start=0, fits=None):
+        # completions of rows to n vertices in which vertex v = len(rows)
+        # has neighbourhood chosen plus some vertices >= start
+        v = len(rows)
+        if fits is None:
+            # fits[a]: the b < v whose common neighbours with a number < k
+            fits = [sum(1 << b for b in range(v) if (rows[a] & rows[b]).bit_count() < k) for a in range(v)]
+        if v + 1 == n:
+            total = 1
+        else:
+            total = extend(tuple(r | (chosen >> i & 1) << v for i, r in enumerate(rows)) + (chosen,))
+        for a in range(start, v):
+            grown = chosen | 1 << a
+            if chosen & ~fits[a] == 0 and all(
+                (grown & rows[x]).bit_count() <= k for x in range(v) if rows[a] >> x & 1
+            ):
+                total += extend(rows, grown, a + 1, fits)
+        return total
+
+    return extend(()) if n else 1
+
+
+def orbit_sum(graphs, n: int) -> int:
+    """Sum of n!/|Aut G| over the classes, automorphisms counted by VF2."""
+    total = 0
+    for g in graphs:
+        G = nx.Graph()
+        G.add_nodes_from(range(g.n))
+        G.add_edges_from(g.edges())
+        total += factorial(n) // sum(1 for _ in GraphMatcher(G, G).isomorphisms_iter())
+    return total
+
+
+# labelled C4-free graphs on n = 1..8 vertices (OEIS A006855)
+LABELLED_C4FREE = [1, 2, 8, 54, 548, 7984, 163440, 4599908]
 
 
 class TestByEdges:
@@ -136,6 +187,10 @@ class TestByOrder:
         spec = EnumSpec("by-order", 11, cap_override=True)
         spec.validate()
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_orbit_count(self, n):
+        assert orbit_sum(enumerate_c4free_by_order(n), n) == labelled_count(n, 1) == LABELLED_C4FREE[n - 1]
+
 
 class TestKFree:
     def test_k2_free_universe_n4(self):
@@ -156,3 +211,10 @@ class TestKFree:
             )
         )
         assert len(graphs) == oracle
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_orbit_count(self, n):
+        labelled = labelled_count(n, 2)
+        assert orbit_sum(enumerate_kfree_by_order(n, 2), n) == labelled
+        if n == 7:
+            assert labelled == 822028

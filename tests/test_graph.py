@@ -9,11 +9,9 @@ from c4free.graph import (
     GraphError,
     SnkParams,
     adding_edge_creates_c4,
-    is_star,
     make_friendship,
     make_snk,
     make_star,
-    snk_shape,
 )
 from conftest import random_graph
 
@@ -66,7 +64,6 @@ class TestConstructors:
         assert make_friendship(1).m == 3
         g = make_friendship(3)
         assert g.n == 7 and g.m == 9
-        assert g.is_friendship_condition()
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_friendship_c4free(self, k):
@@ -113,18 +110,6 @@ class TestPredicates:
         for _ in range(1000):
             g = random_graph(rng, rng.randint(2, 9), rng.uniform(0.1, 0.7))
             assert g.has_k2kp1(1) == g.has_c4()
-
-    def test_friendship_condition_star_false(self):
-        assert not make_star(6).is_friendship_condition()
-
-    def test_friendship_condition_k3(self):
-        assert make_friendship(1).is_friendship_condition()
-
-    def test_friendship_implies_c4free(self, rng):
-        for _ in range(300):
-            g = random_graph(rng, rng.randint(3, 9))
-            if g.is_friendship_condition():
-                assert not g.has_c4()
 
 
 class TestMutation:
@@ -175,18 +160,3 @@ class TestC4EdgePredicate:
             if u == v or g.has_edge(u, v):
                 continue
             assert adding_edge_creates_c4(g, u, v) == g.add_edge(u, v).has_c4()
-
-
-class TestShapes:
-    def test_is_star(self):
-        assert is_star(make_star(7))
-        assert not is_star(make_snk(7, 1))
-        # isolated vertices do not matter
-        assert is_star(Graph(8, make_star(6).rows + (0, 0)))
-
-    def test_snk_shape(self):
-        assert snk_shape(make_snk(9, 1)) == SnkParams(9, 1)
-        assert snk_shape(make_snk(8, 2)) == SnkParams(8, 2)
-        assert snk_shape(make_star(9)) is None
-        path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        assert snk_shape(path) is None

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
 from c4free import graph6
 from c4free.canon import canonical_form
-from c4free.graph import Graph, make_friendship, make_snk, make_star
+from c4free.graph import Graph, SnkParams, make_friendship, make_snk, make_star
 from c4free.spectral import snk_mu
 from c4free.verify import (
     EQ_FRIENDSHIP,
@@ -15,6 +16,7 @@ from c4free.verify import (
     EQ_STAR,
     VerificationRecord,
     classify_equality,
+    snk_params,
     srg_table_check,
     verify_conjecture,
     verify_in3,
@@ -40,6 +42,30 @@ class TestClassify:
     def test_ignores_isolated(self):
         g = Graph(12, make_star(10).rows + (0, 0))
         assert classify_equality(g) == EQ_STAR
+
+    def test_small_cases(self):
+        assert classify_equality(Graph.from_edges(2, [(0, 1)])) == EQ_STAR
+        assert classify_equality(make_friendship(1)) == EQ_FRIENDSHIP
+
+
+class TestSnkParams:
+    def test_every_snk_relabelled_and_padded(self):
+        rng = random.Random(7)
+        for n in range(2, 17):
+            for k in range((n - 1) // 2 + 1):
+                pad = rng.randint(0, 3)
+                perm = list(range(n + pad))
+                rng.shuffle(perm)
+                g = Graph(n + pad, make_snk(n, k).rows + (0,) * pad).relabel(tuple(perm))
+                assert snk_params(g) == SnkParams(n, k)
+
+    def test_near_misses(self):
+        # the edge and vertex counts fit S_{4,0} and S_{5,1}, the shapes do not
+        p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        two_pendants = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4)])
+        assert snk_params(p4) is None
+        assert snk_params(two_pendants) is None
+        assert snk_params(Graph.empty(3)) is None
 
 
 class TestTheorem1:
