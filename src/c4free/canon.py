@@ -64,7 +64,6 @@ class _Canonizer:
         while queue:
             splitter = queue.pop()
             newpart: List[List[int]] = []
-            changed = False
             for cell in work:
                 if len(cell) == 1:
                     newpart.append(cell)
@@ -75,14 +74,11 @@ class _Canonizer:
                 if len(buckets) == 1:
                     newpart.append(cell)
                     continue
-                changed = True
                 for key in sorted(buckets, reverse=True):
                     sub = buckets[key]
                     newpart.append(sub)
                     queue.append(self._mask(sub))
             work = newpart
-            if not changed and not queue:
-                break
         return work
 
     @staticmethod

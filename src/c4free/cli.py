@@ -19,7 +19,7 @@ from typing import IO, Callable, Optional, Tuple
 from . import graph6
 from .enumeration import enumerate_c4free_by_edges, enumerate_c4free_by_order
 from .search import hill_climb
-from .spectral import snk_cubic, snk_mu, spectral_radius
+from .spectral import DEFAULT_TOL, snk_cubic, snk_mu, spectral_radius
 from .verify import (
     VerificationRecord,
     VerifySummary,
@@ -102,7 +102,7 @@ def _finish(args, summary: VerifySummary) -> int:
     recomputed = []
     for rec in summary.equalities:
         g = graph6.decode(rec.graph_id)
-        mu2 = spectral_radius(g, args.tol / 10).mu
+        mu2 = spectral_radius(g, DEFAULT_TOL / 10).mu
         recomputed.append(
             {
                 "record": dataclasses.asdict(rec),
@@ -167,7 +167,7 @@ def _enumerate(args) -> int:
 
 
 def _search(args) -> int:
-    state = hill_climb(args.m, args.restarts, args.seed, args.tol, args.workers)
+    state = hill_climb(args.m, args.restarts, args.seed, args.workers)
     out = {
         "m": args.m,
         "mu": state.mu,
@@ -183,14 +183,13 @@ def _search(args) -> int:
 
 # flags shared by several commands; each command names the ones it reads
 _SHARED = {
-    "tol": dict(type=float, default=1e-12, help="eigensolver residual tolerance"),
     "workers": dict(type=int, default=1),
     "output": dict(help="per-graph record file"),
     "format": dict(choices=["json", "csv", "graph6-lines"], default="json"),
     "certificate": dict(help="write the summary certificate JSON here"),
     "force": dict(action="store_true", help="override desk-scale caps"),
 }
-_VERIFY = ("tol", "workers", "output", "format", "certificate", "force")
+_VERIFY = ("workers", "output", "format", "certificate", "force")
 
 _M = ("--m", dict(type=int, required=True))
 _N = ("--n", dict(type=int, required=True))
@@ -213,37 +212,37 @@ class Command:
 COMMANDS = {
     "verify-th1": Command(
         "max mu over C4-free graphs with m edges vs sqrt(m)",
-        _verify(lambda a, sink: verify_theorem1(a.m, a.tol, a.workers, sink, a.force)),
+        _verify(lambda a, sink: verify_theorem1(a.m, a.workers, sink, a.force)),
         (_M,),
         _VERIFY,
     ),
     "verify-th2": Command(
         "equality classification at m edges (expect stars, plus S_{9,1} at m=9)",
-        _verify(lambda a, sink: verify_theorem2(a.m, a.tol, a.workers, sink, a.force)),
+        _verify(lambda a, sink: verify_theorem2(a.m, a.workers, sink, a.force)),
         (_M,),
         _VERIFY,
     ),
     "verify-small-m": Command(
         "witnesses of mu > sqrt(m) for 4 <= m <= 8",
-        _verify(lambda a, sink: verify_small_m(a.m, a.tol, a.workers, sink)),
+        _verify(lambda a, sink: verify_small_m(a.m, a.workers, sink)),
         (_M,),
-        ("tol", "workers", "output", "format", "certificate"),
+        ("workers", "output", "format", "certificate"),
     ),
     "verify-in3": Command(
         "mu^2 - mu <= n-1 over C4-free graphs of order n",
-        _verify(lambda a, sink: verify_in3(a.n, a.tol, a.workers, sink, a.force)),
+        _verify(lambda a, sink: verify_in3(a.n, a.workers, sink, a.force)),
         (_N,),
         _VERIFY,
     ),
     "verify-conjecture": Command(
         "even-order cubic inequality over C4-free graphs",
-        _verify(lambda a, sink: verify_conjecture(a.n, a.tol, a.workers, sink, a.force)),
+        _verify(lambda a, sink: verify_conjecture(a.n, a.workers, sink, a.force)),
         (_N,),
         _VERIFY,
     ),
     "verify-k2k1": Command(
         "mu^2 - mu <= k(n-1) over K_{2,k+1}-free graphs",
-        _verify(lambda a, sink: verify_k2k1(a.n, a.k, a.tol, a.workers, sink, a.force)),
+        _verify(lambda a, sink: verify_k2k1(a.n, a.k, a.workers, sink, a.force)),
         (_N, _K),
         _VERIFY,
     ),
@@ -262,7 +261,7 @@ COMMANDS = {
         "hill-climb mu over C4-free graphs with m edges",
         _search,
         (_M, ("--restarts", dict(type=int, default=5)), ("--seed", dict(type=int, default=0))),
-        ("tol", "workers", "output"),
+        ("workers", "output"),
     ),
     "snk": Command("closed-form spectral radius of S_{n,k}", _snk, (_N, _K), ()),
 }

@@ -21,7 +21,7 @@ import numpy as np
 
 from .canon import canonical_form
 from .graph import Graph, GraphError, adding_edge_creates_c4, _bits
-from .spectral import DEFAULT_TOL, spectral_radius
+from .spectral import SpectralResult, spectral_radius
 
 Edge = Tuple[int, int]
 
@@ -30,16 +30,12 @@ IMPROVE_EPS = 1e-12
 
 @dataclass(frozen=True)
 class Move:
+    """A rewire of the graph it was proposed on, and the graph it gives."""
+
     removed: Tuple[Edge, ...]
     added: Tuple[Edge, ...]
     predicted_gain: float
-
-    def apply(self, g: Graph) -> Graph:
-        for u, v in self.removed:
-            g = g.remove_edge(u, v)
-        for u, v in self.added:
-            g = g.add_edge(u, v)
-        return g
+    graph: Graph
 
 
 @dataclass
@@ -115,14 +111,14 @@ def propose_moves(g: Graph, x: np.ndarray) -> List[Move]:
         key = (removed, added)
         if key in moves:
             return
-        if _c4free_after(g, removed, added) is None:
+        h = _c4free_after(g, removed, added)
+        if h is None:
             return
-        moves[key] = Move(removed, added, _rayleigh_gain(x, removed, added))
+        moves[key] = Move(removed, added, _rayleigh_gain(x, removed, added), h)
 
     for e in edges:
         for ne in non_edges:
-            if ne != e:
-                consider([e], [ne])
+            consider([e], [ne])
 
     top = int(np.argmax(x))
     # isolated-edge and path relocations onto the heaviest vertex
@@ -194,29 +190,31 @@ def _random_tree(n: int, rng: random.Random) -> Graph:
 
 
 def _best_improving(
-    state: SearchState, candidates: List[Move], tol: float
-) -> Optional[Tuple[float, Graph, Move]]:
-    best: Optional[Tuple[float, Graph, Move]] = None
+    state: SearchState, candidates: List[Move]
+) -> Optional[Tuple[SpectralResult, Move]]:
+    """The candidate of largest mu above state.mu, with its solve; a tie on
+    mu goes to the smaller canonical form of the candidate's graph."""
+    best: Optional[Tuple[SpectralResult, Move]] = None
+    best_key: Optional[bytes] = None  # canonical form of best, once a tie asks for it
     for mv in candidates:
-        h = mv.apply(state.current)
-        mu_h = spectral_radius(h, tol).mu
-        if mu_h <= state.mu + IMPROVE_EPS:
+        r = spectral_radius(mv.graph)
+        if r.mu <= state.mu + IMPROVE_EPS:
             continue
-        if best is None or mu_h > best[0] + IMPROVE_EPS:
-            best = (mu_h, h, mv)
-        elif abs(mu_h - best[0]) <= IMPROVE_EPS:
-            # tie on mu: prefer the smaller canonical form
-            if canonical_form(h.strip_isolated()) < canonical_form(
-                best[1].strip_isolated()
-            ):
-                best = (mu_h, h, mv)
+        if best is None or r.mu > best[0].mu + IMPROVE_EPS:
+            best, best_key = (r, mv), None
+        elif abs(r.mu - best[0].mu) <= IMPROVE_EPS:
+            if best_key is None:
+                best_key = canonical_form(best[1].graph.strip_isolated())
+            key = canonical_form(mv.graph.strip_isolated())
+            if key < best_key:
+                best, best_key = (r, mv), key
     return best
 
 
-def _climb_once(m: int, seed: int, tol: float) -> SearchState:
+def _climb_once(m: int, seed: int) -> SearchState:
     rng = random.Random(seed)
     g = random_c4free_graph(m, rng)
-    res = spectral_radius(g, tol)
+    res = spectral_radius(g)
     state = SearchState(current=g, mu=res.mu, seed=seed)
     while True:
         candidates = propose_moves(state.current, res.vec)
@@ -225,30 +223,28 @@ def _climb_once(m: int, seed: int, tol: float) -> SearchState:
         # full neighborhood only when needed to certify local optimality
         promising = [mv for mv in candidates if mv.predicted_gain > -1e-9]
         rest = [mv for mv in candidates if mv.predicted_gain <= -1e-9]
-        best = _best_improving(state, promising, tol)
+        best = _best_improving(state, promising)
         if best is None:
-            best = _best_improving(state, rest, tol)
+            best = _best_improving(state, rest)
         if best is None:
             return state
-        mu_h, h, mv = best
+        res, mv = best
         state.moves.append(
             {
                 "removed": [list(e) for e in mv.removed],
                 "added": [list(e) for e in mv.added],
                 "mu_before": state.mu,
-                "mu_after": mu_h,
+                "mu_after": res.mu,
             }
         )
-        state.current = h
-        state.mu = mu_h
-        res = spectral_radius(h, tol)
+        state.current = mv.graph
+        state.mu = res.mu
 
 
 def hill_climb(
     m: int,
     restarts: int = 5,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
     workers: int = 1,
 ) -> SearchState:
     """Best state over independent random restarts; deterministic given
@@ -260,9 +256,9 @@ def hill_climb(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            states = list(pool.map(_climb_once, [m] * restarts, seeds, [tol] * restarts))
+            states = list(pool.map(_climb_once, [m] * restarts, seeds))
     else:
-        states = [_climb_once(m, s, tol) for s in seeds]
+        states = [_climb_once(m, s) for s in seeds]
     return max(states, key=lambda st: st.mu)
 
 

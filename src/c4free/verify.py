@@ -4,10 +4,11 @@ Fold bound checks over enumeration streams and classify equality cases.
 Every check is a spec (`_Check`: the stream, the quantity of mu that is
 checked, its bound, the equality classifier and the expected equality
 classes) run by one fold, `_fold`. Each graph in a stream yields a
-VerificationRecord; a violation is only reported after the same eigensolve
-runs again with its residual held to a 10x tighter tolerance (a recheck of
-the residual, not a second method), and equality is only claimed when one
-isomorphism test against S_{n,k} confirms the float coincidence.
+VerificationRecord. Every eigensolve holds its residual to
+`spectral.DEFAULT_TOL` (1e-12); a violation is only reported after the same
+eigensolve runs again with its residual held to `DEFAULT_TOL / 10` (a
+recheck of the residual, not a second method), and equality is only claimed
+when one isomorphism test against S_{n,k} confirms the float coincidence.
 """
 
 from __future__ import annotations
@@ -122,16 +123,16 @@ class _Check:
     above: str = VIOLATION
 
 
-def _fold(spec: _Check, tol: float, sink: RecordSink) -> VerifySummary:
+def _fold(spec: _Check, sink: RecordSink) -> VerifySummary:
     """Compare spec.quantity(mu) <= spec.bound for every graph, classify,
     aggregate into one summary."""
     summary = VerifySummary(spec.check, spec.param)
     for g in spec.graphs:
-        r = spectral_radius(g, tol)
+        r = spectral_radius(g)
         slack = spec.bound - spec.quantity(r.mu)
         if slack < -EQ_TOL and spec.above == VIOLATION:
             # never report a violation off a single float pass
-            r = spectral_radius(g, tol / 10)
+            r = spectral_radius(g, DEFAULT_TOL / 10)
             slack = spec.bound - spec.quantity(r.mu)
         if slack < -EQ_TOL:
             cls = spec.above
@@ -168,7 +169,6 @@ def _by_edges(check: str, m: int, workers: int, cap_override: bool = False, **sp
 
 def verify_theorem1(
     m: int,
-    tol: float = DEFAULT_TOL,
     workers: int = 1,
     sink: RecordSink = None,
     cap_override: bool = False,
@@ -177,12 +177,11 @@ def verify_theorem1(
     mu <= sqrt(m); reports the maximum and all equality classes."""
     if m < 9:
         raise ValueError("theorem applies for m >= 9; use verify_small_m below")
-    return _fold(_by_edges("theorem1", m, workers, cap_override, classify=classify_equality), tol, sink)
+    return _fold(_by_edges("theorem1", m, workers, cap_override, classify=classify_equality), sink)
 
 
 def verify_theorem2(
     m: int,
-    tol: float = DEFAULT_TOL,
     workers: int = 1,
     sink: RecordSink = None,
     cap_override: bool = False,
@@ -193,11 +192,11 @@ def verify_theorem2(
         raise ValueError("theorem applies for m >= 9; use verify_small_m below")
     expected = frozenset({EQ_STAR, EQ_S91} if m == 9 else {EQ_STAR})
     spec = _by_edges("theorem1", m, workers, cap_override, classify=classify_equality, expected=expected)
-    return _fold(spec, tol, sink)
+    return _fold(spec, sink)
 
 
 def verify_small_m(
-    m: int, tol: float = DEFAULT_TOL, workers: int = 1, sink: RecordSink = None
+    m: int, workers: int = 1, sink: RecordSink = None
 ) -> VerifySummary:
     """For 4 <= m <= 9: find every C4-free graph with m edges whose spectral
     radius strictly exceeds sqrt(m). Nonempty (contains S_{m,1}) for
@@ -205,30 +204,30 @@ def verify_small_m(
     every other record is strict."""
     if not 4 <= m <= 9:
         raise ValueError("small-m check covers 4 <= m <= 9")
-    return _fold(_by_edges("small-m", m, workers, classify=None, above=WITNESS), tol, sink)
+    return _fold(_by_edges("small-m", m, workers, classify=None, above=WITNESS), sink)
 
 
 def verify_in3(
     n: int,
-    tol: float = DEFAULT_TOL,
     workers: int = 1,
     sink: RecordSink = None,
     cap_override: bool = False,
 ) -> VerifySummary:
     """mu^2 - mu <= n-1 over all C4-free graphs of order n; equality only at
-    the friendship graph (odd n)."""
+    the friendship graph F_k = S_{2k+1,k} of order n (odd n), F_0 = K_1
+    included."""
 
     def friendship(g: Graph) -> Optional[str]:
-        p = snk_params(g)
-        return EQ_FRIENDSHIP if p is not None and p.n == n == 2 * p.k + 1 else None
+        if n % 2 and canonical_form(g) == canonical_form(make_snk(n, n // 2)):
+            return EQ_FRIENDSHIP
+        return None
 
     graphs = enumerate_c4free_by_order(n, workers, cap_override)
-    return _fold(_Check("in3", {"n": n}, graphs, lambda mu: mu * mu - mu, float(n - 1), friendship), tol, sink)
+    return _fold(_Check("in3", {"n": n}, graphs, lambda mu: mu * mu - mu, float(n - 1), friendship), sink)
 
 
 def verify_conjecture(
     n: int,
-    tol: float = DEFAULT_TOL,
     workers: int = 1,
     sink: RecordSink = None,
     cap_override: bool = False,
@@ -250,13 +249,12 @@ def verify_conjecture(
 
     graphs = (g for g in enumerate_c4free_by_order(n, workers, cap_override) if g.m)
     spec = _Check("conjecture", {"n": n}, graphs, lambda mu: mu**3 - mu**2 - (n - 1) * mu + 1.0, 0.0, snk)
-    return _fold(spec, tol, sink)
+    return _fold(spec, sink)
 
 
 def verify_k2k1(
     n: int,
     k: int,
-    tol: float = DEFAULT_TOL,
     workers: int = 1,
     sink: RecordSink = None,
     cap_override: bool = False,
@@ -280,7 +278,7 @@ def verify_k2k1(
 
     graphs = enumerate_kfree_by_order(n, k, workers, cap_override)
     spec = _Check("k2k1", {"n": n, "k": k}, graphs, lambda mu: mu * mu - mu, float(k) * (n - 1), k_common)
-    return _fold(spec, tol, sink)
+    return _fold(spec, sink)
 
 
 SRG_TABLE = [

@@ -51,6 +51,15 @@ def test_verify_in3_exit_codes(capsys):
     assert payload["equalities"][0]["classification"] == "equality-friendship"
 
 
+def test_verify_in3_k1_is_f0(capsys):
+    # K_1 meets mu^2 - mu = n - 1 at mu = 0: it is F_0 = S_{1,0}
+    code, out = run(capsys, "verify-in3", "--n", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["findings"] == []
+    assert [r["classification"] for r in payload["equalities"]] == ["equality-friendship"]
+
+
 def test_certificate_roundtrip(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     code, out = run(capsys, "verify-in3", "--n", "5", "--certificate", str(cert))

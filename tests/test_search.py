@@ -94,7 +94,7 @@ class TestProposeMoves:
         moves = propose_moves(g, x)
         mu = spectral_radius(g).mu
         for mv in moves[:40]:
-            assert spectral_radius(mv.apply(g)).mu <= mu + 1e-12
+            assert spectral_radius(mv.graph).mu <= mu + 1e-12
 
     def test_p5_improves(self):
         p5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
@@ -102,7 +102,7 @@ class TestProposeMoves:
         moves = propose_moves(p5, x)
         assert moves
         mu = spectral_radius(p5).mu
-        assert any(spectral_radius(mv.apply(p5)).mu > mu + 1e-10 for mv in moves)
+        assert any(spectral_radius(mv.graph).mu > mu + 1e-10 for mv in moves)
 
     def test_paw_is_local_maximum(self):
         # triangle + pendant edge is S_{4,1}, the m = 4 optimum: no rewire
@@ -111,23 +111,26 @@ class TestProposeMoves:
         mu = spectral_radius(g).mu
         x = spectral_radius(g).vec
         for mv in propose_moves(g, x):
-            assert spectral_radius(mv.apply(g)).mu <= mu + 1e-12
+            assert spectral_radius(mv.graph).mu <= mu + 1e-12
 
     def test_triangle_plus_disjoint_edge_improves(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
         x = spectral_radius(g).vec
         moves = propose_moves(g, x)
         mu = spectral_radius(g).mu
-        assert any(spectral_radius(mv.apply(g)).mu > mu + 1e-10 for mv in moves)
+        assert any(spectral_radius(mv.graph).mu > mu + 1e-10 for mv in moves)
 
     def test_moves_preserve_edge_count_and_c4freeness(self, rng):
         for _ in range(20):
             g = random_c4free_graph(8, rng)
             x = spectral_radius(g).vec
             for mv in propose_moves(g, x)[:30]:
-                h = mv.apply(g)
+                h = mv.graph
                 assert h.m == g.m
                 assert not h.has_c4()
+                # the carried graph is the rewire the move names
+                assert set(mv.removed) <= set(g.edges())
+                assert h == Graph.from_edges(g.n, (set(g.edges()) - set(mv.removed)) | set(mv.added))
 
 
 class TestRandomStart:
