@@ -2,18 +2,25 @@
 Isomorphism-free generation of C4-free (more generally K_{2,k+1}-free)
 graphs, by edge count or by order.
 
-One level-synchronous edge augmentation from the empty graph on 0
-vertices: level j holds one class per K_{2,k+1}-free graph with j edges,
-no isolated vertices and at most max_n vertices. Deleting an edge and
-dropping isolated vertices leaves a level-(j-1) parent, and the graph
-comes back from it by an edge between present vertices, a pendant edge or
-a disjoint edge; so extending each parent in these ways and deduplicating
-by canonical form is complete. Only the first move can create a
-K_{2,k+1}, and such children are pruned before canonicalization. By edges
-is level m; by order is every level at max_n = n, padded with isolated
-vertices, so ordered by edge count, then by the canonical form of the
-graph without its isolated vertices. Levels can be partitioned across
-worker processes; partial results merge by canonical form.
+Connected classes come from one level-synchronous edge augmentation from
+K_1: level j holds one class per connected K_{2,k+1}-free graph with j
+edges and at most max_n vertices. A connected graph with an edge has an
+edge whose deletion leaves it connected once an isolated vertex is
+dropped (a pendant edge, or an edge on a cycle), and the graph comes back
+from that level-(j-1) parent by a pendant edge or an edge between present
+vertices; so extending each parent in these two ways and deduplicating by
+canonical form is complete. Only an edge between present vertices can
+create a K_{2,k+1}, and such children are pruned before canonicalization.
+Levels can be partitioned across worker processes; partial results merge
+by canonical form.
+
+Every other class is a disjoint union of connected classes, one per
+multiset of them, so unions are composed and never canonized. By edges the
+pieces are the connected classes with 1..m edges and their sizes are edge
+counts; by order they are the connected classes on at most n vertices, K_1
+included, and their sizes are vertex counts. Streams come in the order of
+the composer: multisets in a fixed order of the pieces (size, then
+canonical form), the connected classes last.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
 from .canon import canonical_form
 from .graph import Graph, adding_edge_creates_k2kp1
@@ -59,17 +66,18 @@ class EnumSpec:
 
 def enumerate_c4free_by_edges(m: int, workers: int = 1, cap_override: bool = False) -> Iterator[Graph]:
     """One representative per isomorphism class of C4-free graphs with m
-    edges and no isolated vertices, in deterministic (canonical-form) order."""
+    edges and no isolated vertices, in the deterministic order of the
+    composer (see the module docstring)."""
     EnumSpec("by-edges", m, 1, cap_override).validate()
-    level = next(islice(_levels(1, 2 * m, workers), m, None))
-    for key in sorted(level):
-        yield level[key]
+    levels = islice(_levels(1, m + 1, workers), 1, m + 1)
+    yield from _unions(_pieces(levels, lambda g: g.m), m)
 
 
 def enumerate_c4free_by_order(n: int, workers: int = 1, cap_override: bool = False) -> Iterator[Graph]:
     """One representative per isomorphism class of C4-free graphs on exactly
-    n vertices (isolated vertices permitted), ordered by edge count, then by
-    the canonical form of the graph without its isolated vertices."""
+    n vertices (isolated vertices permitted, as K_1 components laid out
+    last), in the deterministic order of the composer (see the module
+    docstring); the edgeless graph comes first."""
     yield from enumerate_kfree_by_order(n, 1, workers, cap_override)
 
 
@@ -79,17 +87,44 @@ def enumerate_kfree_by_order(
     """One representative per isomorphism class of K_{2,k+1}-free graphs on
     exactly n vertices, in the order of enumerate_c4free_by_order."""
     EnumSpec("by-order", n, k, cap_override).validate()
-    for level in _levels(k, n, workers):
-        for key in sorted(level):
-            g = level[key]
-            yield Graph(n, g.rows + (0,) * (n - g.n))
+    yield from _unions(_pieces(_levels(k, n, workers), lambda g: g.n), n)
+
+
+def _pieces(levels: Iterable[Dict[bytes, Graph]], size: Callable[[Graph], int]) -> List[Tuple[int, Graph]]:
+    """(size, class) for every class of the levels, by size, then by
+    canonical form."""
+    keyed = sorted(((size(g), key), g) for level in levels for key, g in level.items())
+    return [(s, g) for (s, _), g in keyed]
+
+
+def _unions(pieces: List[Tuple[int, Graph]], total: int) -> Iterator[Graph]:
+    """One disjoint union per multiset of pieces whose sizes sum to total.
+    pieces are (size, graph) pairs by ascending size, in a fixed order; a
+    multiset takes its members in that order, and its union lays them out
+    in reverse, so the largest comes first and isolated vertices last."""
+
+    def grow(start: int, rest: int, chosen: Tuple[Graph, ...]) -> Iterator[Graph]:
+        if not rest:
+            rows: Tuple[int, ...] = ()
+            for g in reversed(chosen):
+                shift = len(rows)
+                rows += tuple(r << shift for r in g.rows)
+            yield Graph(len(rows), rows)
+            return
+        for i in range(start, len(pieces)):
+            size, g = pieces[i]
+            if size > rest:
+                break
+            yield from grow(i, rest - size, chosen + (g,))
+
+    yield from grow(0, total, ())
 
 
 def _levels(k: int, max_n: int, workers: int) -> Iterator[Dict[bytes, Graph]]:
-    """Level j = 0, 1, ...: the K_{2,k+1}-free classes with j edges, no
-    isolated vertices and at most max_n vertices, keyed by canonical form;
-    stops after the last nonempty level."""
-    g0 = Graph.empty(0)
+    """Level j = 0, 1, ...: the connected K_{2,k+1}-free classes with j
+    edges and at most max_n vertices, keyed by canonical form; stops after
+    the last nonempty level."""
+    g0 = Graph.empty(1)
     level = {canonical_form(g0): g0}
     while level:
         yield level
@@ -107,41 +142,43 @@ def _extend_fixed_order(g: Graph, k: int) -> List[Graph]:
 
 
 def _extend_by_edges(g: Graph, max_n: int) -> List[Graph]:
-    """One-edge extensions that add vertices, within max_n vertices: a
-    pendant edge to a fresh vertex, or a disjoint edge. Neither can create
-    a K_{2,k+1}."""
-    out = []
-    if g.n + 1 <= max_n:
-        grown = Graph(g.n + 1, g.rows + (0,))
-        for u in range(g.n):
-            out.append(grown.add_edge(u, g.n))
-    if g.n + 2 <= max_n:
-        out.append(Graph(g.n + 2, g.rows + (0, 0)).add_edge(g.n, g.n + 1))
-    return out
+    """One-edge extensions that add a vertex, within max_n vertices: a
+    pendant edge to a fresh vertex, which cannot create a K_{2,k+1}."""
+    if g.n + 1 > max_n:
+        return []
+    grown = Graph(g.n + 1, g.rows + (0,))
+    return [grown.add_edge(u, g.n) for u in range(g.n)]
 
 
-def _children_chunk(args: Tuple[List[Graph], int, int]) -> Dict[bytes, Graph]:
+def _children_chunk(args: Tuple[List[Graph], int, int]) -> Dict[bytes, Tuple[int, Graph]]:
+    """The children of the parents, each class once, keyed by canonical
+    form, with the index of the first parent that gives it."""
     parents, k, max_n = args
-    children: Dict[bytes, Graph] = {}
-    for g in parents:
+    children: Dict[bytes, Tuple[int, Graph]] = {}
+    for i, g in enumerate(parents):
         for child in _extend_fixed_order(g, k) + _extend_by_edges(g, max_n):
             key = canonical_form(child)
             if key not in children:
-                children[key] = child
+                children[key] = (i, child)
     return children
 
 
 def _merge_levels(parents: Dict[bytes, Graph], k: int, max_n: int, workers: int) -> Dict[bytes, Graph]:
     plist = [parents[key] for key in sorted(parents)]
     if workers <= 1 or len(plist) < 4 * workers:
-        return _children_chunk((plist, k, max_n))
-    # contiguous chunks merged in order, first occurrence kept: the same
+        workers = 1
+        parts = [_children_chunk((plist, k, max_n))]
+    else:
+        # parents dealt round-robin, which balances the workers better than
+        # contiguous chunks of the sorted parents
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_children_chunk, [(plist[w::workers], k, max_n) for w in range(workers)]))
+    # each class keeps the child of its lowest-index parent: the same
     # representatives as the one-worker scan, whatever the worker count
-    size = -(-len(plist) // workers)
-    chunks = [plist[i : i + size] for i in range(0, len(plist), size)]
-    merged: Dict[bytes, Graph] = {}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_children_chunk, [(c, k, max_n) for c in chunks]):
-            for key, child in part.items():
-                merged.setdefault(key, child)
-    return merged
+    first: Dict[bytes, Tuple[int, Graph]] = {}
+    for w, part in enumerate(parts):
+        for key, (i, child) in part.items():
+            i = w + i * workers
+            if key not in first or i < first[key][0]:
+                first[key] = (i, child)
+    return {key: child for key, (_, child) in first.items()}

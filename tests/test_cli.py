@@ -171,7 +171,7 @@ def test_verify_command_strict_json(command, capsys):
     assert payload["count"] > 0 and math.isfinite(payload["min_slack"])
 
 
-@pytest.mark.parametrize("size", [["--m", "8"], ["--n", "6"]])
+@pytest.mark.parametrize("size", [["--m", "8"], ["--n", "6"], ["--m", "9"]])
 def test_enumerate_independent_of_workers(size, capsys):
     _, one = run(capsys, "enumerate", *size, "--workers", "1")
     _, two = run(capsys, "enumerate", *size, "--workers", "2")

@@ -8,13 +8,17 @@ components with at most 7 vertices each).
 Beyond the atlas, by-order classes are checked by orbit counting: a class
 G on n vertices has n!/|Aut G| labelled copies, so these sum over the
 classes to the number of labelled graphs, which a vertex-by-vertex search
-counts without c4free.
+counts without c4free. The same count split by edge count checks the
+by-edges classes on at most 7 vertices, disjoint unions included: a class
+on n_G vertices has 7!/(|Aut G| (7 - n_G)!) labelled copies on 7.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 from math import factorial
+from typing import Tuple
 
 import networkx as nx
 import pytest
@@ -71,43 +75,59 @@ def oracle_count_by_edges(m: int) -> int:
     return count(0, m)
 
 
-def labelled_count(n: int, k: int) -> int:
-    """Labelled K_{2,k+1}-free graphs on vertices 0..n-1. Vertices are added
-    in turn, each with every neighbourhood among the earlier vertices that
-    creates no K_{2,k+1}: a pair inside the neighbourhood gains the new
-    vertex as a common neighbour, and an earlier vertex x has the members
-    of the neighbourhood adjacent to x in common with the new vertex."""
+@cache
+def labelled_counts(n: int, k: int) -> Tuple[int, ...]:
+    """Entry e: the labelled K_{2,k+1}-free graphs on vertices 0..n-1 with
+    e edges. Vertices are added in turn, each with every neighbourhood
+    among the earlier vertices that creates no K_{2,k+1}: a pair inside the
+    neighbourhood gains the new vertex as a common neighbour, and an
+    earlier vertex x has the members of the neighbourhood adjacent to x in
+    common with the new vertex."""
+    counts = [0] * (n * (n - 1) // 2 + 1)
 
-    def extend(rows, chosen=0, start=0, fits=None):
-        # completions of rows to n vertices in which vertex v = len(rows)
-        # has neighbourhood chosen plus some vertices >= start
+    def extend(rows, edges, chosen=0, start=0, fits=None):
+        # completions of rows, which have edges edges, to n vertices in
+        # which vertex v = len(rows) has neighbourhood chosen plus some
+        # vertices >= start
         v = len(rows)
         if fits is None:
             # fits[a]: the b < v whose common neighbours with a number < k
             fits = [sum(1 << b for b in range(v) if (rows[a] & rows[b]).bit_count() < k) for a in range(v)]
         if v + 1 == n:
-            total = 1
+            counts[edges + chosen.bit_count()] += 1
         else:
-            total = extend(tuple(r | (chosen >> i & 1) << v for i, r in enumerate(rows)) + (chosen,))
+            grown_rows = tuple(r | (chosen >> i & 1) << v for i, r in enumerate(rows)) + (chosen,)
+            extend(grown_rows, edges + chosen.bit_count())
         for a in range(start, v):
             grown = chosen | 1 << a
             if chosen & ~fits[a] == 0 and all(
                 (grown & rows[x]).bit_count() <= k for x in range(v) if rows[a] >> x & 1
             ):
-                total += extend(rows, grown, a + 1, fits)
-        return total
+                extend(rows, edges, grown, a + 1, fits)
 
-    return extend(()) if n else 1
+    if n:
+        extend((), 0)
+    else:
+        counts[0] = 1
+    return tuple(counts)
+
+
+def labelled_count(n: int, k: int) -> int:
+    """Labelled K_{2,k+1}-free graphs on vertices 0..n-1."""
+    return sum(labelled_counts(n, k))
 
 
 def orbit_sum(graphs, n: int) -> int:
-    """Sum of n!/|Aut G| over the classes, automorphisms counted by VF2."""
+    """Sum over the classes of their labelled copies on n vertices,
+    n!/(|Aut G| (n - n_G)!) for a class G on n_G <= n vertices padded with
+    isolated vertices; automorphisms counted by VF2."""
     total = 0
     for g in graphs:
         G = nx.Graph()
         G.add_nodes_from(range(g.n))
         G.add_edges_from(g.edges())
-        total += factorial(n) // sum(1 for _ in GraphMatcher(G, G).isomorphisms_iter())
+        aut = sum(1 for _ in GraphMatcher(G, G).isomorphisms_iter())
+        total += factorial(n) // (aut * factorial(n - g.n))
     return total
 
 
@@ -130,7 +150,7 @@ class TestByEdges:
     def test_matches_oracle(self, m):
         assert len(list(enumerate_c4free_by_edges(m))) == oracle_count_by_edges(m)
 
-    @pytest.mark.parametrize("m", range(1, 9))
+    @pytest.mark.parametrize("m", range(1, 10))
     def test_stream_contract(self, m):
         seen = set()
         for g in enumerate_c4free_by_edges(m):
@@ -140,6 +160,14 @@ class TestByEdges:
             key = canonical_form(g)
             assert key not in seen
             seen.add(key)
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_orbit_count(self, m):
+        # ex(7, C4) = 9: these m cover every edge count on 7 vertices
+        counts = labelled_counts(7, 1)
+        assert not any(counts[10:])
+        small = (g for g in enumerate_c4free_by_edges(m) if g.n <= 7)
+        assert orbit_sum(small, 7) == counts[m]
 
     def test_determinism(self):
         a = [graph6.encode(g) for g in enumerate_c4free_by_edges(6)]

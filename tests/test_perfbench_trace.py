@@ -57,6 +57,15 @@ def test_traced_enumerate_counts(tmp_path):
     assert layers["canon.calls"] == layers["enumeration.children"] + 1
 
 
+def test_traced_enumerate_by_order_counts(tmp_path):
+    # by order, most classes are unions with K_1 components; they are
+    # composed, so no union is canonized
+    stdout, payload = _traced(["enumerate", "--n", "7"], tmp_path)
+    layers = payload["layers"]
+    assert layers["enumeration.classes"] == len(stdout.splitlines()) == 117
+    assert layers["canon.calls"] == layers["enumeration.children"] + 1
+
+
 def test_traced_k2k1_counts(tmp_path):
     stdout, payload = _traced(["verify-k2k1", "--n", "5", "--k", "2"], tmp_path)
     layers = payload["layers"]
