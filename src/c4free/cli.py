@@ -72,18 +72,11 @@ def emit_certificate(path: str, payload: dict) -> None:
 
 
 def _summary_json(summary: VerifySummary) -> dict:
-    return {
-        "check": summary.check,
-        "param": summary.param,
-        "count": summary.count,
-        "max_mu": summary.max_mu,
-        "max_mu_graph": summary.max_mu_graph,
-        "min_slack": summary.min_slack if summary.count else None,
-        "equalities": [dataclasses.asdict(r) for r in summary.equalities],
-        "violations": [dataclasses.asdict(c) for c in summary.violations],
-        "findings": summary.findings,
-        "ok": summary.ok,
-    }
+    out = dataclasses.asdict(summary)
+    if not summary.count:
+        out["min_slack"] = None
+    out["ok"] = summary.ok
+    return out
 
 
 def _equality_witness(rec: VerificationRecord) -> dict:

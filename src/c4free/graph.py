@@ -195,30 +195,21 @@ def make_friendship(k: int) -> Graph:
 
 
 def adding_edge_creates_c4(g: Graph, u: int, v: int) -> bool:
-    """Would adding the edge uv create a 4-cycle?
-
-    A new 4-cycle must use uv, i.e. there is a path v-a-b-u with a != u,
-    b != v, a != b.
-    """
-    ru = g.rows[u] & ~(1 << v)
-    rv = g.rows[v] & ~(1 << u)
-    for a in _bits(rv):
-        if g.rows[a] & ru & ~(1 << a):
-            return True
-    return False
+    """Would adding the non-edge uv create a 4-cycle, i.e. a K_{2,2}?"""
+    return adding_edge_creates_k2kp1(g, u, v, 1)
 
 
 def adding_edge_creates_k2kp1(g: Graph, u: int, v: int, k: int) -> bool:
-    """Would adding uv create a vertex pair with >= k+1 common neighbors?
-    Only pairs involving a neighbor of u or v can change."""
-    bu, bv = 1 << u, 1 << v
-    rows = list(g.rows)
-    rows[u] |= bv
-    rows[v] |= bu
-    for x in _bits(rows[v] & ~bu):
-        if x != u and (rows[u] & rows[x]).bit_count() > k:
+    """Would adding the non-edge uv create a vertex pair with >= k+1 common
+    neighbors? Only the pairs (u, x) with x in N(v), which gain v, and
+    (v, x) with x in N(u), which gain u, gain a common neighbor; each trips
+    when it already has k."""
+    rows = g.rows
+    ru, rv = rows[u], rows[v]
+    for x in _bits(rv):
+        if (ru & rows[x]).bit_count() >= k:
             return True
-    for x in _bits(rows[u] & ~bv):
-        if x != v and (rows[v] & rows[x]).bit_count() > k:
+    for x in _bits(ru):
+        if (rv & rows[x]).bit_count() >= k:
             return True
     return False

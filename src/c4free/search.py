@@ -19,9 +19,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .canon import canonical_form
 from .graph import Graph, GraphError, adding_edge_creates_c4, _bits
-from .spectral import SpectralResult, spectral_radius
+from .spectral import SpectralResult, rayleigh, spectral_radius
 
 Edge = Tuple[int, int]
 
@@ -58,9 +57,7 @@ def lemma1_test(g: Graph, g_prime: Graph, u: int) -> bool:
     if old & ~new or old == new:
         raise GraphError("need strict neighborhood containment at u")
     x = spectral_radius(g).vec
-    qa = sum(x[a] * x[b] for a, b in g.edges())
-    qb = sum(x[a] * x[b] for a, b in g_prime.edges())
-    return qb >= qa
+    return rayleigh(g_prime, x) >= rayleigh(g, x)
 
 
 def _rayleigh_gain(x: np.ndarray, removed: Sequence[Edge], added: Sequence[Edge]) -> float:
@@ -75,13 +72,11 @@ def _c4free_after(g: Graph, move_removed: Sequence[Edge], move_added: Sequence[E
         for u, v in move_removed:
             h = h.remove_edge(u, v)
         for u, v in move_added:
-            if h.has_edge(u, v):
-                return None
             if adding_edge_creates_c4(h, u, v):
                 return None
             h = h.add_edge(u, v)
         return h
-    except GraphError:
+    except GraphError:  # a 3-path relocation on a K_3 removes an edge twice
         return None
 
 
@@ -94,7 +89,7 @@ def propose_moves(g: Graph, x: np.ndarray) -> List[Move]:
     multi-edge relocations the extremal argument uses: pulling an isolated
     edge of G[W] onto the heaviest vertex, and relocating a 3-path.
     """
-    moves: dict[Tuple[Tuple[Edge, ...], Tuple[Edge, ...]], Move] = {}
+    moves: List[Move] = []
     edges = list(g.edges())
     non_edges = [
         (u, v)
@@ -106,15 +101,9 @@ def propose_moves(g: Graph, x: np.ndarray) -> List[Move]:
     def consider(removed: Sequence[Edge], added: Sequence[Edge]) -> None:
         removed = tuple(sorted(tuple(sorted(e)) for e in removed))
         added = tuple(sorted(tuple(sorted(e)) for e in added))
-        if set(removed) & set(added):
-            return
-        key = (removed, added)
-        if key in moves:
-            return
         h = _c4free_after(g, removed, added)
-        if h is None:
-            return
-        moves[key] = Move(removed, added, _rayleigh_gain(x, removed, added), h)
+        if h is not None:
+            moves.append(Move(removed, added, _rayleigh_gain(x, removed, added), h))
 
     for e in edges:
         for ne in non_edges:
@@ -139,7 +128,7 @@ def propose_moves(g: Graph, x: np.ndarray) -> List[Move]:
                 if ku is not None and kw is not None and top not in (ku, kw):
                     consider([(u, ku), (w, kw), (u, v)], [(u, top), (v, top), (w, top)])
 
-    return sorted(moves.values(), key=lambda mv: -mv.predicted_gain)
+    return sorted(moves, key=lambda mv: -mv.predicted_gain)
 
 
 def random_c4free_graph(m: int, rng: random.Random, attempts: int = 100) -> Graph:
@@ -192,22 +181,16 @@ def _random_tree(n: int, rng: random.Random) -> Graph:
 def _best_improving(
     state: SearchState, candidates: List[Move]
 ) -> Optional[Tuple[SpectralResult, Move]]:
-    """The candidate of largest mu above state.mu, with its solve; a tie on
-    mu goes to the smaller canonical form of the candidate's graph."""
+    """The candidate of largest mu above state.mu + IMPROVE_EPS, with its
+    solve. A candidate replaces the best so far only when its mu is larger
+    by more than IMPROVE_EPS, so a tie keeps the earlier candidate; the
+    order (predicted gain, then proposal order) is fixed, so the result is
+    too."""
     best: Optional[Tuple[SpectralResult, Move]] = None
-    best_key: Optional[bytes] = None  # canonical form of best, once a tie asks for it
     for mv in candidates:
         r = spectral_radius(mv.graph)
-        if r.mu <= state.mu + IMPROVE_EPS:
-            continue
-        if best is None or r.mu > best[0].mu + IMPROVE_EPS:
-            best, best_key = (r, mv), None
-        elif abs(r.mu - best[0].mu) <= IMPROVE_EPS:
-            if best_key is None:
-                best_key = canonical_form(best[1].graph.strip_isolated())
-            key = canonical_form(mv.graph.strip_isolated())
-            if key < best_key:
-                best, best_key = (r, mv), key
+        if r.mu > (best[0].mu if best else state.mu) + IMPROVE_EPS:
+            best = (r, mv)
     return best
 
 
@@ -223,9 +206,7 @@ def _climb_once(m: int, seed: int) -> SearchState:
         # full neighborhood only when needed to certify local optimality
         promising = [mv for mv in candidates if mv.predicted_gain > -1e-9]
         rest = [mv for mv in candidates if mv.predicted_gain <= -1e-9]
-        best = _best_improving(state, promising)
-        if best is None:
-            best = _best_improving(state, rest)
+        best = _best_improving(state, promising) or _best_improving(state, rest)
         if best is None:
             return state
         res, mv = best
@@ -251,6 +232,8 @@ def hill_climb(
     seed. Restart i uses its own RNG stream derived from the master seed."""
     if m < 1:
         raise ValueError("need m >= 1")
+    if restarts < 1:
+        raise ValueError("need restarts >= 1")
     seeds = [seed * 1_000_003 + i for i in range(restarts)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

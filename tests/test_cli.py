@@ -104,6 +104,12 @@ def test_search_command(capsys):
     assert payload["mu"] == pytest.approx(3.0, abs=1e-9)
 
 
+def test_search_needs_a_restart(capsys):
+    code = main(["search", "--m", "5", "--restarts", "0"])
+    assert code == 1
+    assert "need restarts >= 1" in capsys.readouterr().err
+
+
 def test_verify_th2_flags_extra_equalities(capsys):
     # the equality family at m = 9 is larger than the stated star/S_{9,1}
     # pair; the classifier reports the extras as findings with exit code 2

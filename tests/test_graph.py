@@ -9,6 +9,7 @@ from c4free.graph import (
     GraphError,
     SnkParams,
     adding_edge_creates_c4,
+    adding_edge_creates_k2kp1,
     make_friendship,
     make_snk,
     make_star,
@@ -152,11 +153,15 @@ class TestC4EdgePredicate:
         assert not adding_edge_creates_c4(p4, 0, 2)
 
     def test_matches_global_check(self, rng):
-        for _ in range(500):
-            g = random_graph(rng, rng.randint(2, 9))
-            if g.has_c4():
-                continue
-            u, v = rng.randrange(g.n), rng.randrange(g.n)
-            if u == v or g.has_edge(u, v):
-                continue
-            assert adding_edge_creates_c4(g, u, v) == g.add_edge(u, v).has_c4()
+        for k in (1, 2, 3):
+            for _ in range(500):
+                g = random_graph(rng, rng.randint(2, 9))
+                if g.has_k2kp1(k):
+                    continue
+                u, v = rng.randrange(g.n), rng.randrange(g.n)
+                if u == v or g.has_edge(u, v):
+                    continue
+                creates = g.add_edge(u, v).has_k2kp1(k)
+                assert adding_edge_creates_k2kp1(g, u, v, k) == creates
+                if k == 1:
+                    assert adding_edge_creates_c4(g, u, v) == creates

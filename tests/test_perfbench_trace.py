@@ -46,6 +46,23 @@ def _traced(command, tmp_path):
 def test_traced_command(command, tmp_path):
     _, payload = _traced(command, tmp_path)
     assert payload["layers"]
+    if command[0] == "search":
+        # the climb decides by mu alone
+        assert payload["layers"]["canon.calls"] == 0
+
+
+def test_perfbench_selftest():
+    # the benchmark's output checks pass real output and fail corrupted output
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_traced_enumerate_counts(tmp_path):

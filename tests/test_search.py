@@ -120,17 +120,36 @@ class TestProposeMoves:
         mu = spectral_radius(g).mu
         assert any(spectral_radius(mv.graph).mu > mu + 1e-10 for mv in moves)
 
+    @staticmethod
+    def _assert_distinct_rewires(moves):
+        # each move is proposed once, and never removes an edge it adds
+        keys = [(mv.removed, mv.added) for mv in moves]
+        assert len(set(keys)) == len(keys)
+        assert all(not set(mv.removed) & set(mv.added) for mv in moves)
+
     def test_moves_preserve_edge_count_and_c4freeness(self, rng):
         for _ in range(20):
             g = random_c4free_graph(8, rng)
             x = spectral_radius(g).vec
-            for mv in propose_moves(g, x)[:30]:
+            moves = propose_moves(g, x)
+            self._assert_distinct_rewires(moves)
+            for mv in moves[:30]:
                 h = mv.graph
                 assert h.m == g.m
                 assert not h.has_c4()
                 # the carried graph is the rewire the move names
                 assert set(mv.removed) <= set(g.edges())
                 assert h == Graph.from_edges(g.n, (set(g.edges()) - set(mv.removed)) | set(mv.added))
+
+    def test_k3_component_away_from_the_top_vertex(self):
+        # the 3-path relocation on a triangle names one edge twice; that
+        # move is dropped, the others are proposed
+        g = Graph.from_edges(9, [(0, j) for j in range(1, 6)] + [(6, 7), (7, 8), (6, 8)])
+        x = spectral_radius(g).vec
+        moves = propose_moves(g, x)
+        assert moves
+        self._assert_distinct_rewires(moves)
+        assert all(len(mv.removed) < 3 and not mv.graph.has_c4() for mv in moves)
 
 
 class TestRandomStart:
