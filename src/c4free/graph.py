@@ -13,7 +13,7 @@ share between workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 
 class GraphError(ValueError):
@@ -201,10 +201,14 @@ def adding_edge_creates_c4(g: Graph, u: int, v: int) -> bool:
 
 def adding_edge_creates_k2kp1(g: Graph, u: int, v: int, k: int) -> bool:
     """Would adding the non-edge uv create a vertex pair with >= k+1 common
-    neighbors? Only the pairs (u, x) with x in N(v), which gain v, and
-    (v, x) with x in N(u), which gain u, gain a common neighbor; each trips
-    when it already has k."""
-    rows = g.rows
+    neighbors?"""
+    return _k2kp1_after_adding(g.rows, u, v, k)
+
+
+def _k2kp1_after_adding(rows: Sequence[int], u: int, v: int, k: int) -> bool:
+    """The same test on bare bitrows. Only the pairs (u, x) with x in N(v),
+    which gain v, and (v, x) with x in N(u), which gain u, gain a common
+    neighbor; each trips when it already has k."""
     ru, rv = rows[u], rows[v]
     for x in _bits(rv):
         if (ru & rows[x]).bit_count() >= k:

@@ -6,7 +6,9 @@ the local eigenvector-weight checks used in the induction argument.
 A move removes and adds equally many edges, must keep the graph C4-free,
 and is accepted only when the recomputed spectral radius strictly
 increases; the Rayleigh gain predicted from the current Perron vector only
-orders the candidates.
+orders the candidates. Candidates are edge flips on the current graph: each
+step solves their adjacency matrices in one stacked eigensolve, and only the
+accepted move is built as a Graph.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graph import Graph, GraphError, adding_edge_creates_c4, _bits
-from .spectral import SpectralResult, rayleigh, spectral_radius
+from .graph import Graph, GraphError, adding_edge_creates_c4, _bits, _k2kp1_after_adding
+from .spectral import rayleigh, spectral_radii, spectral_radius, to_numpy
 
 Edge = Tuple[int, int]
 
@@ -29,12 +31,21 @@ IMPROVE_EPS = 1e-12
 
 @dataclass(frozen=True)
 class Move:
-    """A rewire of the graph it was proposed on, and the graph it gives."""
+    """A rewire of the graph it was proposed on: the edges it removes, the
+    edges it adds, and the Rayleigh gain predicted from that graph's Perron
+    vector. It holds no graph; `apply` builds one."""
 
     removed: Tuple[Edge, ...]
     added: Tuple[Edge, ...]
     predicted_gain: float
-    graph: Graph
+
+    def apply(self, g: Graph) -> Graph:
+        """The rewired graph, built by the checked edge operations."""
+        for e in self.removed:
+            g = g.remove_edge(*e)
+        for e in self.added:
+            g = g.add_edge(*e)
+        return g
 
 
 @dataclass
@@ -66,18 +77,25 @@ def _rayleigh_gain(x: np.ndarray, removed: Sequence[Edge], added: Sequence[Edge]
     )
 
 
-def _c4free_after(g: Graph, move_removed: Sequence[Edge], move_added: Sequence[Edge]) -> Optional[Graph]:
-    try:
-        h = g
-        for u, v in move_removed:
-            h = h.remove_edge(u, v)
-        for u, v in move_added:
-            if adding_edge_creates_c4(h, u, v):
-                return None
-            h = h.add_edge(u, v)
-        return h
-    except GraphError:  # a 3-path relocation on a K_3 removes an edge twice
-        return None
+def _c4free_after(rows: Sequence[int], removed: Sequence[Edge], added: Sequence[Edge]) -> bool:
+    """Does the rewire keep the graph with these bitrows C4-free? Each
+    added edge is tested on the rows with the removed edges cleared and the
+    earlier added edges set. A move that removes an absent edge, or one edge
+    twice (a 3-path relocation on a K_3), is refused, and so is one that adds
+    a present edge uv: the test counts u, a neighbour of v, as sharing v with
+    itself."""
+    h = list(rows)
+    for u, v in removed:
+        if not h[u] >> v & 1:
+            return False
+        h[u] &= ~(1 << v)
+        h[v] &= ~(1 << u)
+    for u, v in added:
+        if _k2kp1_after_adding(h, u, v, 1):
+            return False
+        h[u] |= 1 << v
+        h[v] |= 1 << u
+    return True
 
 
 def propose_moves(g: Graph, x: np.ndarray) -> List[Move]:
@@ -101,9 +119,8 @@ def propose_moves(g: Graph, x: np.ndarray) -> List[Move]:
     def consider(removed: Sequence[Edge], added: Sequence[Edge]) -> None:
         removed = tuple(sorted(tuple(sorted(e)) for e in removed))
         added = tuple(sorted(tuple(sorted(e)) for e in added))
-        h = _c4free_after(g, removed, added)
-        if h is not None:
-            moves.append(Move(removed, added, _rayleigh_gain(x, removed, added), h))
+        if _c4free_after(g.rows, removed, added):
+            moves.append(Move(removed, added, _rayleigh_gain(x, removed, added)))
 
     for e in edges:
         for ne in non_edges:
@@ -178,19 +195,34 @@ def _random_tree(n: int, rng: random.Random) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def _best_improving(
-    state: SearchState, candidates: List[Move]
-) -> Optional[Tuple[SpectralResult, Move]]:
-    """The candidate of largest mu above state.mu + IMPROVE_EPS, with its
-    solve. A candidate replaces the best so far only when its mu is larger
-    by more than IMPROVE_EPS, so a tie keeps the earlier candidate; the
-    order (predicted gain, then proposal order) is fixed, so the result is
-    too."""
-    best: Optional[Tuple[SpectralResult, Move]] = None
-    for mv in candidates:
-        r = spectral_radius(mv.graph)
-        if r.mu > (best[0].mu if best else state.mu) + IMPROVE_EPS:
-            best = (r, mv)
+def _candidate_stack(g: Graph, moves: Sequence[Move]) -> np.ndarray:
+    """The adjacency matrix of each move applied to g, as a (len(moves), n, n)
+    stack of 0/1 bytes: g's matrix copied once per move, with the removed
+    entries cleared and then the added entries set."""
+    stack = np.repeat(to_numpy(g).astype(np.uint8)[None], len(moves), axis=0)
+    for value, edges in (
+        (0, [(i, a, b) for i, mv in enumerate(moves) for a, b in mv.removed]),
+        (1, [(i, a, b) for i, mv in enumerate(moves) for a, b in mv.added]),
+    ):
+        i, a, b = np.array(edges, dtype=np.intp).reshape(-1, 3).T
+        stack[i, a, b] = stack[i, b, a] = value
+    return stack
+
+
+def _best_improving(state: SearchState, candidates: Sequence[Move]) -> Optional[Move]:
+    """The candidate of largest mu above state.mu + IMPROVE_EPS. Every
+    candidate's mu comes from one stacked eigensolve of the candidates'
+    adjacency matrices (`spectral_radii`); the top eigenvalue of a whole
+    adjacency matrix is the graph's mu, so no candidate is built as a Graph
+    or split into components. A candidate replaces the best so far only
+    when its mu is larger by more than IMPROVE_EPS, so a tie keeps the
+    earlier candidate; the order (predicted gain, then proposal order) is
+    fixed, so the result is too."""
+    mus = spectral_radii(_candidate_stack(state.current, candidates))
+    best, best_mu = None, state.mu
+    for mv, mu in zip(candidates, mus.tolist()):
+        if mu > best_mu + IMPROVE_EPS:
+            best, best_mu = mv, mu
     return best
 
 
@@ -206,10 +238,12 @@ def _climb_once(m: int, seed: int) -> SearchState:
         # full neighborhood only when needed to certify local optimality
         promising = [mv for mv in candidates if mv.predicted_gain > -1e-9]
         rest = [mv for mv in candidates if mv.predicted_gain <= -1e-9]
-        best = _best_improving(state, promising) or _best_improving(state, rest)
-        if best is None:
+        mv = _best_improving(state, promising) or _best_improving(state, rest)
+        if mv is None:
             return state
-        res, mv = best
+        # only the winner is built and solved, for its Perron vector
+        g = mv.apply(state.current)
+        res = spectral_radius(g)
         state.moves.append(
             {
                 "removed": [list(e) for e in mv.removed],
@@ -218,7 +252,7 @@ def _climb_once(m: int, seed: int) -> SearchState:
                 "mu_after": res.mu,
             }
         )
-        state.current = mv.graph
+        state.current = g
         state.mu = res.mu
 
 

@@ -2,9 +2,13 @@
 Perron root computation and the closed-form spectral radius of S_{n,k}.
 
 The spectral radius is the top eigenvalue of one dense symmetric
-eigensolve (LAPACK, through numpy.linalg.eigh) per connected component;
-mu(S_{n,k}) additionally has a cubic characteristic factor
-x^3 - x^2 - (n-1)x + n-1-2k whose largest root is found by bisection.
+eigensolve (LAPACK, through numpy.linalg.eigh) per connected component.
+`spectral_radii` takes it for a stack of adjacency matrices, solving whole
+matrices in fixed-size chunks: the top eigenvalue of a graph's adjacency
+matrix is its spectral radius (Perron-Frobenius), so mu alone needs no
+split into components. mu(S_{n,k}) additionally has a cubic characteristic
+factor x^3 - x^2 - (n-1)x + n-1-2k whose largest root is found by
+bisection.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ import numpy as np
 from .graph import Graph, SnkParams
 
 DEFAULT_TOL = 1e-12
+
+RADII_CHUNK = 64  # matrices per stacked eigensolve in spectral_radii; bounds its working memory
 
 INV_SQRT2 = 2.0 ** -0.5
 
@@ -79,6 +85,33 @@ def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
     full[comp] = vec
     full /= np.linalg.norm(full)
     return SpectralResult(mu=mu, vec=full, residual=res, iters=solves)
+
+
+def spectral_radii(stack: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Largest eigenvalue of each real symmetric matrix of a (B, n, n) stack.
+
+    The stack is solved RADII_CHUNK matrices at a time, each chunk converted
+    to float64, so the eigensolver's memory does not grow with B. The
+    residual max|Av - mu v| of each top eigenpair is computed, and one above
+    tol raises ConvergenceError.
+    """
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
+        raise ValueError(f"need a (B, n, n) stack with n >= 1, got shape {stack.shape}")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    mus = np.empty(len(stack))
+    for lo in range(0, len(stack), RADII_CHUNK):
+        chunk = stack[lo : lo + RADII_CHUNK].astype(float)
+        w, v = np.linalg.eigh(chunk)
+        mu, vec = w[:, -1], v[:, :, -1]
+        res = np.max(np.abs(np.einsum("bij,bj->bi", chunk, vec) - mu[:, None] * vec), axis=1)
+        worst = int(np.argmax(res))
+        if res[worst] > tol:
+            raise ConvergenceError(
+                f"residual {res[worst]:.3e} above tol {tol:.3e} (matrix {lo + worst} of the stack)"
+            )
+        mus[lo : lo + len(chunk)] = mu
+    return mus
 
 
 def rayleigh(g: Graph, x: np.ndarray) -> float:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import re
@@ -102,6 +103,27 @@ def test_search_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["mu"] == pytest.approx(3.0, abs=1e-9)
+
+
+def test_search_m1(capsys):
+    code, out = run(capsys, "search", "--m", "1")
+    assert code == 0
+    assert json.loads(out)["mu"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_search_m14_golden(capsys, tmp_path):
+    # the benchmark's search workload: a change to the climb order, the
+    # candidate set or the acceptance rule changes these values
+    moves = tmp_path / "moves.json"
+    code, out = run(capsys, "search", "--m", "14", "--restarts", "2", "--seed", "1", "--output", str(moves))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["mu"] == 3.741657386773941
+    assert payload["graph6"] == "N?????????????~~_?G"
+    assert payload["seed"] == 1000003
+    assert len(payload["moves"]) == 10
+    digest = hashlib.sha256(moves.read_bytes()).hexdigest()
+    assert digest == "39838adf51315dea7f0f58fab80182eb482d8505f48294433939bbf804d17ccb"
 
 
 def test_search_needs_a_restart(capsys):

@@ -3,11 +3,16 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
+from c4free import search, spectral
 from c4free.canon import canonical_form
-from c4free.graph import Graph, GraphError, make_snk, make_star
+from c4free.graph import Graph, GraphError, adding_edge_creates_c4, make_snk, make_star
 from c4free.search import (
+    SearchState,
+    _best_improving,
+    _c4free_after,
     claim1_check,
     claim2_check,
     claim3_check,
@@ -94,7 +99,7 @@ class TestProposeMoves:
         moves = propose_moves(g, x)
         mu = spectral_radius(g).mu
         for mv in moves[:40]:
-            assert spectral_radius(mv.graph).mu <= mu + 1e-12
+            assert spectral_radius(mv.apply(g)).mu <= mu + 1e-12
 
     def test_p5_improves(self):
         p5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
@@ -102,7 +107,7 @@ class TestProposeMoves:
         moves = propose_moves(p5, x)
         assert moves
         mu = spectral_radius(p5).mu
-        assert any(spectral_radius(mv.graph).mu > mu + 1e-10 for mv in moves)
+        assert any(spectral_radius(mv.apply(p5)).mu > mu + 1e-10 for mv in moves)
 
     def test_paw_is_local_maximum(self):
         # triangle + pendant edge is S_{4,1}, the m = 4 optimum: no rewire
@@ -111,14 +116,14 @@ class TestProposeMoves:
         mu = spectral_radius(g).mu
         x = spectral_radius(g).vec
         for mv in propose_moves(g, x):
-            assert spectral_radius(mv.graph).mu <= mu + 1e-12
+            assert spectral_radius(mv.apply(g)).mu <= mu + 1e-12
 
     def test_triangle_plus_disjoint_edge_improves(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
         x = spectral_radius(g).vec
         moves = propose_moves(g, x)
         mu = spectral_radius(g).mu
-        assert any(spectral_radius(mv.graph).mu > mu + 1e-10 for mv in moves)
+        assert any(spectral_radius(mv.apply(g)).mu > mu + 1e-10 for mv in moves)
 
     @staticmethod
     def _assert_distinct_rewires(moves):
@@ -134,7 +139,7 @@ class TestProposeMoves:
             moves = propose_moves(g, x)
             self._assert_distinct_rewires(moves)
             for mv in moves[:30]:
-                h = mv.graph
+                h = mv.apply(g)
                 assert h.m == g.m
                 assert not h.has_c4()
                 # the carried graph is the rewire the move names
@@ -149,7 +154,48 @@ class TestProposeMoves:
         moves = propose_moves(g, x)
         assert moves
         self._assert_distinct_rewires(moves)
-        assert all(len(mv.removed) < 3 and not mv.graph.has_c4() for mv in moves)
+        assert all(len(mv.removed) < 3 and not mv.apply(g).has_c4() for mv in moves)
+
+
+def _c4free_after_by_graph_ops(g, removed, added):
+    """The admission test spelled with checked Graph operations: refuse what
+    they refuse (an absent or twice-removed edge, a present added edge) and
+    an added edge that closes a 4-cycle."""
+    try:
+        for e in removed:
+            g = g.remove_edge(*e)
+        for u, v in added:
+            if adding_edge_creates_c4(g, u, v):
+                return False
+            g = g.add_edge(u, v)
+    except GraphError:
+        return False
+    return True
+
+
+class TestC4freeAfter:
+    def test_matches_graph_operations(self, rng):
+        refused = admitted = 0
+        for _ in range(400):
+            g = random_c4free_graph(rng.randint(3, 10), rng)
+            pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+            for _ in range(10):
+                # any pairs: absent removals, present additions, repeats
+                removed = tuple(rng.choice(pairs) for _ in range(rng.randint(1, 3)))
+                added = tuple(rng.choice(pairs) for _ in range(len(removed)))
+                ok = _c4free_after(g.rows, removed, added)
+                assert ok == _c4free_after_by_graph_ops(g, removed, added)
+                admitted += ok
+                refused += not ok
+        assert admitted and refused
+
+    def test_edge_removed_twice(self):
+        k3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+        assert not _c4free_after(k3.rows, ((0, 1), (0, 1)), ((0, 1), (1, 2)))
+
+    def test_present_edge_added(self):
+        p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        assert not _c4free_after(p4.rows, ((0, 1),), ((1, 2),))
 
 
 class TestRandomStart:
@@ -182,6 +228,29 @@ class TestHillClimb:
         b = hill_climb(7, restarts=2, seed=3)
         c = hill_climb(7, restarts=2, seed=3, workers=2)
         assert a.mu == b.mu == c.mu and a.moves == b.moves == c.moves
+
+    def test_ties_keep_the_earlier_candidate(self, monkeypatch):
+        g = make_star(4)
+        st = SearchState(current=g, mu=spectral_radius(g).mu, seed=0)
+        moves = propose_moves(g, spectral_radius(g).vec)[:2]
+        for gap, winner in ((0.0, 0), (1e-13, 0), (1e-11, 1)):
+            monkeypatch.setattr(search, "spectral_radii", lambda stack: np.array([5.0, 5.0 + gap]))
+            assert _best_improving(st, moves) is moves[winner]
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_chunk_size_does_not_change_the_climb(self, chunk, monkeypatch):
+        a = hill_climb(11, restarts=2, seed=4)
+        monkeypatch.setattr(spectral, "RADII_CHUNK", chunk)
+        b = hill_climb(11, restarts=2, seed=4)
+        assert (a.mu, a.current, a.seed, a.moves) == (b.mu, b.current, b.seed, b.moves)
+
+    def test_smallest_sizes(self):
+        # m = 1 has no candidate; at m = 2 no candidate has positive
+        # predicted gain, so the first stack is empty
+        for m, mu in ((1, 1.0), (2, math.sqrt(2))):
+            st = hill_climb(m, restarts=2, seed=0)
+            assert st.mu == pytest.approx(mu, abs=1e-12)
+            assert st.moves == []
 
     def test_move_log_strictly_increasing(self):
         st = hill_climb(10, restarts=3, seed=1)

@@ -8,6 +8,7 @@ import pytest
 
 from c4free._kernels import power_iteration
 from c4free.graph import Graph, make_friendship, make_snk, make_star
+from c4free.search import _candidate_stack, propose_moves, random_c4free_graph
 from c4free.spectral import (
     ConvergenceError,
     max_entry_ok,
@@ -15,6 +16,7 @@ from c4free.spectral import (
     snk_bound_identity,
     snk_cubic,
     snk_mu,
+    spectral_radii,
     spectral_radius,
     to_numpy,
     xmin,
@@ -110,6 +112,54 @@ class TestSpectralRadius:
     def test_tol_below_double_precision(self):
         with pytest.raises(ConvergenceError):
             spectral_radius(make_star(10), tol=1e-300)
+
+
+@pytest.fixture(scope="module")
+def candidate_stacks():
+    """(graph, moves, stack) for the climb's candidates on 200 random C4-free
+    graphs."""
+    rng = random.Random(20261019)
+    out = []
+    for _ in range(200):
+        g = random_c4free_graph(rng.randint(2, 9), rng)
+        moves = propose_moves(g, spectral_radius(g).vec)
+        out.append((g, moves, _candidate_stack(g, moves)))
+    return out
+
+
+class TestSpectralRadii:
+    def test_stack_is_the_rewired_graphs(self, candidate_stacks):
+        for g, moves, stack in candidate_stacks:
+            assert stack.shape == (len(moves), g.n, g.n)
+            for mv, a in zip(moves, stack):
+                assert np.array_equal(a, to_numpy(mv.apply(g)))
+
+    def test_matches_spectral_radius(self, candidate_stacks):
+        for g, moves, stack in candidate_stacks:
+            mus = spectral_radii(stack)
+            assert mus.shape == (len(moves),)
+            for mv, mu in zip(moves, mus):
+                assert abs(mu - spectral_radius(mv.apply(g)).mu) <= 1e-12
+
+    def test_matches_power_iteration(self, candidate_stacks):
+        # every 8th candidate of each stack: the reference loop is slow
+        for g, moves, stack in candidate_stacks:
+            for mv, mu in zip(moves[::8], spectral_radii(stack)[::8]):
+                solved = power_oracle(mv.apply(g))
+                assert mu == pytest.approx(max((p for _, p, _ in solved), default=0.0), abs=1e-10)
+
+    def test_empty_stack(self):
+        assert spectral_radii(np.zeros((0, 4, 4))).shape == (0,)
+
+    def test_bad_input(self):
+        with pytest.raises(ValueError):
+            spectral_radii(to_numpy(make_star(3)))  # one matrix, not a stack
+        with pytest.raises(ValueError):
+            spectral_radii(to_numpy(make_star(3))[None], tol=0.0)
+
+    def test_tol_below_double_precision(self):
+        with pytest.raises(ConvergenceError):
+            spectral_radii(to_numpy(make_star(10))[None], tol=1e-300)
 
 
 class TestRayleigh:
