@@ -8,6 +8,17 @@ Automorphisms discovered at equal leaves prune sibling branches (only
 generators fixing the current individualization path are used, so the
 pruning is sound).
 
+Two shortcuts leave every byte of output as the full search makes it:
+
+- A target cell of twins (equal neighbourhoods, apart from each other:
+  all equal rows, or all equal closed rows) branches on its first vertex
+  only. Swapping two twins is an automorphism fixing every other vertex,
+  so each skipped subtree is an image of the first, and the first maximal
+  leaf in full search order lies in the first subtree.
+- A child is refined from its two new cells only, ``rest`` popped before
+  ``{v}``. Its other cells are cells of the equitable parent and can split
+  nothing, so their pops in the full queue were no-ops.
+
 The resulting byte string is identical for isomorphic graphs and distinct
 otherwise.
 """
@@ -53,14 +64,19 @@ class _Canonizer:
         assert self.best_bits is not None
         return n.to_bytes(2, "big") + self.best_bits.to_bytes((nbits + 7) // 8 or 1, "big")
 
-    def _refine(self, partition: List[List[int]]) -> List[List[int]]:
+    def _refine(self, partition: List[List[int]], queue: Optional[List[int]] = None) -> List[List[int]]:
         """Equitable refinement of an ordered partition. Splitting is by
         neighbor counts into a splitter cell, subcells ordered by
         descending count; the outcome depends only on the ordered-partition
-        structure, so it is label-invariant."""
+        structure, so it is label-invariant.
+
+        queue is the stack of splitter masks, popped from the end; by
+        default every cell of partition. A caller may pass fewer only when
+        the cells left out cannot split anything."""
         rows = self.rows
         work = list(partition)
-        queue = [self._mask(c) for c in partition]
+        if queue is None:
+            queue = [self._mask(c) for c in partition]
         while queue:
             splitter = queue.pop()
             newpart: List[List[int]] = []
@@ -113,13 +129,17 @@ class _Canonizer:
                 self.gens.append(tuple(auto))
             return
         cell = partition[target]
+        rows = self.rows
+        # twins: every branch but the first is an automorphic image of it
+        twins = len({rows[w] for w in cell}) == 1 or len({rows[w] | 1 << w for w in cell}) == 1
         tried: List[int] = []
-        for v in cell:
+        for v in cell[:1] if twins else cell:
             if self._in_orbit_of_tried(v, tried, fixed):
                 continue
             tried.append(v)
-            child = partition[:target] + [[v], [w for w in cell if w != v]] + partition[target + 1:]
-            self._search(self._refine(child), fixed + [v])
+            rest = [w for w in cell if w != v]
+            child = partition[:target] + [[v], rest] + partition[target + 1:]
+            self._search(self._refine(child, [1 << v, self._mask(rest)]), fixed + [v])
 
     def _in_orbit_of_tried(self, v: int, tried: List[int], fixed: List[int]) -> bool:
         if not tried or not self.gens:

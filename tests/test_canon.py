@@ -3,8 +3,10 @@ from __future__ import annotations
 import itertools
 import random
 
-from c4free.canon import canonical_form, canonical_labeling
+from c4free import enumeration
+from c4free.canon import _Canonizer, canonical_form, canonical_labeling
 from c4free.graph import Graph, make_friendship, make_snk, make_star
+from canon_reference import reference_canon
 from conftest import random_graph
 
 
@@ -48,10 +50,26 @@ def test_labeling_realizes_form():
     assert canonical_form(g.relabel(perm)) == canonical_form(g)
 
 
-def test_high_symmetry_graphs_fast():
-    # stars and matchings have huge automorphism groups; the orbit pruning
-    # must keep these cheap
+def test_high_symmetry_graphs_fast(monkeypatch):
+    # stars and matchings have huge automorphism groups; the twin and orbit
+    # pruning must keep these cheap, counted in refinements: the star's
+    # leaves are twins, so each level branches once
+    calls = []
+    refine = _Canonizer._refine
+
+    def counted(self, *args):
+        calls.append(1)
+        return refine(self, *args)
+
+    monkeypatch.setattr(_Canonizer, "_refine", counted)
+    for n in (17, 33):
+        calls.clear()
+        canonical_form(make_star(n))
+        assert len(calls) == n - 1
     assert canonical_form(make_star(17)) == canonical_form(make_star(17).relabel(tuple(range(16, -1, -1))))
+    shuffled = list(range(33))
+    random.Random(3).shuffle(shuffled)
+    assert canonical_form(make_star(33)) == canonical_form(make_star(33).relabel(tuple(shuffled)))
     matching = Graph.from_edges(20, [(2 * i, 2 * i + 1) for i in range(10)])
     shuffled = list(range(20))
     random.Random(7).shuffle(shuffled)
@@ -68,3 +86,86 @@ def test_distinguishes_same_degree_sequence():
 def test_friendship_vs_snk():
     assert canonical_form(make_friendship(2)) == canonical_form(make_snk(5, 2))
     assert canonical_form(make_friendship(2)) != canonical_form(make_snk(5, 1))
+
+
+def _assert_matches_reference(g):
+    assert (canonical_form(g), canonical_labeling(g)) == reference_canon(g)
+
+
+def test_matches_reference_on_snk_and_matchings():
+    # the extremal graphs carry the twin cells; the bytes and the labeling
+    # must be those of the search without shortcuts
+    rng = random.Random(12)
+    for n in range(1, 17):
+        for k in range((n - 1) // 2 + 1):
+            g = make_snk(n, k)
+            _assert_matches_reference(g)
+            for _ in range(10):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                _assert_matches_reference(g.relabel(tuple(perm)))
+    for n in range(2, 21, 2):
+        _assert_matches_reference(Graph.from_edges(n, [(2 * i, 2 * i + 1) for i in range(n // 2)]))
+
+
+def _cycle_unions(n, smallest=3):
+    """Every multiset of cycle lengths >= smallest, in ascending order,
+    summing to n."""
+    if n == 0:
+        yield []
+    for a in range(smallest, n + 1):
+        for rest in _cycle_unions(n - a, a):
+            yield [a] + rest
+
+
+def test_matches_reference_on_cycle_unions():
+    # 2-regular graphs are one cell at the root; a C_4 puts a twin pair in
+    # it that the other vertices of the cell are not twins of
+    rng = random.Random(13)
+    for n in range(3, 13):
+        for lengths in _cycle_unions(n):
+            edges, start = [], 0
+            for a in lengths:
+                edges += [(start + i, start + (i + 1) % a) for i in range(a)]
+                start += a
+            g = Graph.from_edges(n, edges)
+            for _ in range(20):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                _assert_matches_reference(g.relabel(tuple(perm)))
+
+
+def test_matches_reference_on_enumerated_graphs(monkeypatch):
+    seen = []
+    form = enumeration.canonical_form
+
+    def capture(g):
+        seen.append(g)
+        return form(g)
+
+    monkeypatch.setattr(enumeration, "canonical_form", capture)
+    list(enumeration.enumerate_c4free_by_edges(8))
+    assert len(seen) > 1000
+    for g in seen:
+        _assert_matches_reference(g)
+
+
+def test_matches_reference_on_random_graphs(rng):
+    for _ in range(300):
+        _assert_matches_reference(random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.8)))
+
+
+def test_child_refined_from_its_two_new_cells(rng):
+    # the cells of an equitable parent split nothing, so refining the child
+    # from {v} and rest alone gives the partition the full queue gives
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(2, 12), rng.uniform(0.1, 0.8))
+        c = _Canonizer(g)
+        part = c._refine([list(range(g.n))])
+        target = next((i for i, cell in enumerate(part) if len(cell) > 1), None)
+        if target is None:
+            continue
+        for v in part[target]:
+            rest = [w for w in part[target] if w != v]
+            child = part[:target] + [[v], rest] + part[target + 1:]
+            assert c._refine(child, [1 << v, c._mask(rest)]) == c._refine(child)

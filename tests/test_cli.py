@@ -126,6 +126,23 @@ def test_search_m14_golden(capsys, tmp_path):
     assert digest == "39838adf51315dea7f0f58fab80182eb482d8505f48294433939bbf804d17ccb"
 
 
+def test_th1_m9_golden(capsys, tmp_path):
+    # the benchmark's exhaustive workload: records stream in canonical
+    # order, so a canonizer that changes a single byte of a form changes
+    # these digests
+    records = tmp_path / "th1.csv"
+    code, out = run(capsys, "verify-th1", "--m", "9", "--format", "csv", "--workers", "1", "--output", str(records))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "64b56c0ba3075e0048ba54e55507e03ac1c294cce5bf8f88bd76eb9b8cb36537"
+    assert hashlib.sha256(records.read_bytes()).hexdigest() == "fd86ea2c64cd148c2a59d759ab017c9f91146279341aea28f26d8bf200e2a6fd"
+    code, out = run(capsys, "enumerate", "--m", "8")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "5501d768fec7a9b7f885c9b8bcd667033cbb1e12add7e3041a741b33ab73e814"
+    code, out = run(capsys, "enumerate", "--n", "8")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "51e21e177119cd1b020c3ebae2750e71f242fac7bedafad6e7fb0ef18b1ec994"
+
+
 def test_search_needs_a_restart(capsys):
     code = main(["search", "--m", "5", "--restarts", "0"])
     assert code == 1
