@@ -1,14 +1,15 @@
 """
 Perron root computation and the closed-form spectral radius of S_{n,k}.
 
-The spectral radius is the top eigenvalue of one dense symmetric
-eigensolve (LAPACK, through numpy.linalg.eigh) per connected component.
-`spectral_radii` takes it for a stack of adjacency matrices, solving whole
-matrices in fixed-size chunks: the top eigenvalue of a graph's adjacency
-matrix is its spectral radius (Perron-Frobenius), so mu alone needs no
-split into components. mu(S_{n,k}) additionally has a cubic characteristic
-factor x^3 - x^2 - (n-1)x + n-1-2k whose largest root is found by
-bisection.
+Every eigensolve goes through one core, `_top_pairs`: a dense symmetric
+eigensolve (LAPACK, through numpy.linalg.eigh) of a stack of matrices, with
+the residual of each top eigenpair held to DEFAULT_TOL. `spectral_radius`
+solves each connected component of a graph as a stack of one.
+`spectral_radii` solves a stack of whole adjacency matrices: the top
+eigenvalue of a graph's adjacency matrix is its spectral radius
+(Perron-Frobenius), so mu alone needs no split into components.
+mu(S_{n,k}) additionally has a cubic characteristic factor
+x^3 - x^2 - (n-1)x + n-1-2k whose largest root is found by bisection.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .graph import Graph, SnkParams
 
 DEFAULT_TOL = 1e-12
 
-RADII_CHUNK = 64  # matrices per stacked eigensolve in spectral_radii; bounds its working memory
+RADII_CHUNK = 64  # matrices per stacked eigensolve; bounds its working memory
 
 INV_SQRT2 = 2.0 ** -0.5
 
@@ -35,7 +36,7 @@ class ConvergenceError(RuntimeError):
 class SpectralResult:
     mu: float
     vec: np.ndarray
-    residual: float
+    residual: float  # largest over the solved components
     iters: int  # dense eigensolves, one per component with an edge
 
 
@@ -46,72 +47,74 @@ def to_numpy(g: Graph) -> np.ndarray:
     return a
 
 
-def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
-    """Largest adjacency eigenvalue with nonnegative unit eigenvector.
-
-    Disconnected graphs are handled per component; the returned vector is
-    supported on a component achieving the maximum and zero elsewhere. The
-    residual max|Ax - mu x| of the returned pair is computed, and a residual
-    above tol raises ConvergenceError.
-    """
-    if g.n < 1:
-        raise ValueError("graph must have at least one vertex")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    a = to_numpy(g)
-    best_mu = -1.0
-    best: tuple[float, np.ndarray, float, list[int]] | None = None
-    solves = 0
-    for comp in g.components():
-        if len(comp) == 1:
-            mu, vec, res = 0.0, np.ones(1), 0.0
-        else:
-            sub = a[np.ix_(comp, comp)]
-            w, v = np.linalg.eigh(sub)
-            # the Perron vector of a connected component has one sign
-            mu, vec = float(w[-1]), np.abs(v[:, -1])
-            res = float(np.max(np.abs(sub @ vec - mu * vec)))
-            solves += 1
-            if res > tol:
-                raise ConvergenceError(
-                    f"residual {res:.3e} above tol {tol:.3e} (component size {len(comp)})"
-                )
-        if mu > best_mu:
-            best_mu = mu
-            best = (mu, vec, res, comp)
-    assert best is not None
-    mu, vec, res, comp = best
-    full = np.zeros(g.n)
-    full[comp] = vec
-    full /= np.linalg.norm(full)
-    return SpectralResult(mu=mu, vec=full, residual=res, iters=solves)
-
-
-def spectral_radii(stack: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Largest eigenvalue of each real symmetric matrix of a (B, n, n) stack.
+def _top_pairs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top eigenpair of each real symmetric matrix of a (B, n, n) stack: the
+    (B,) eigenvalues, the (B, n) unit eigenvectors and the (B,) residuals
+    max|Av - mu v|.
 
     The stack is solved RADII_CHUNK matrices at a time, each chunk converted
-    to float64, so the eigensolver's memory does not grow with B. The
-    residual max|Av - mu v| of each top eigenpair is computed, and one above
-    tol raises ConvergenceError.
+    to float64, so the eigensolver's memory does not grow with B. A residual
+    above DEFAULT_TOL, read at call time, raises ConvergenceError.
     """
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
         raise ValueError(f"need a (B, n, n) stack with n >= 1, got shape {stack.shape}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    mus = np.empty(len(stack))
+    mus, vecs, res = np.empty(len(stack)), np.empty(stack.shape[:2]), np.empty(len(stack))
     for lo in range(0, len(stack), RADII_CHUNK):
         chunk = stack[lo : lo + RADII_CHUNK].astype(float)
         w, v = np.linalg.eigh(chunk)
         mu, vec = w[:, -1], v[:, :, -1]
-        res = np.max(np.abs(np.einsum("bij,bj->bi", chunk, vec) - mu[:, None] * vec), axis=1)
-        worst = int(np.argmax(res))
-        if res[worst] > tol:
+        r = np.abs(np.matmul(chunk, vec[:, :, None])[:, :, 0] - mu[:, None] * vec).max(axis=1)
+        if r.max() > DEFAULT_TOL:
+            worst = int(r.argmax())
             raise ConvergenceError(
-                f"residual {res[worst]:.3e} above tol {tol:.3e} (matrix {lo + worst} of the stack)"
+                f"residual {r[worst]:.3e} above tol {DEFAULT_TOL:.3e} "
+                f"(matrix {lo + worst} of a stack of {len(stack)}, n = {stack.shape[1]})"
             )
-        mus[lo : lo + len(chunk)] = mu
-    return mus
+        hi = lo + len(chunk)
+        mus[lo:hi], vecs[lo:hi], res[lo:hi] = mu, vec, r
+    return mus, vecs, res
+
+
+def spectral_radius(g: Graph) -> SpectralResult:
+    """Largest adjacency eigenvalue with nonnegative unit eigenvector.
+
+    Each component with an edge is solved once, as a stack of one matrix;
+    the returned vector is supported on a component achieving the maximum
+    and zero elsewhere, and the residual is the largest over the solved
+    components.
+    """
+    if g.n < 1:
+        raise ValueError("graph must have at least one vertex")
+    a = to_numpy(g)
+    best_mu = -1.0
+    best: tuple[np.ndarray, list[int]] | None = None
+    residual = 0.0
+    solves = 0
+    for comp in g.components():
+        if len(comp) == 1:
+            mu, vec = 0.0, np.ones(1)
+        else:
+            idx = np.array(comp)
+            mus, vecs, res = _top_pairs(a[idx[:, None], idx][None])
+            # the Perron vector of a connected component has one sign
+            mu, vec = float(mus[0]), np.abs(vecs[0])
+            residual = max(residual, float(res[0]))
+            solves += 1
+        if mu > best_mu:
+            best_mu = mu
+            best = (vec, comp)
+    assert best is not None
+    vec, comp = best
+    full = np.zeros(g.n)
+    full[comp] = vec
+    full /= np.linalg.norm(full)
+    return SpectralResult(mu=best_mu, vec=full, residual=residual, iters=solves)
+
+
+def spectral_radii(stack: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of each real symmetric matrix of a (B, n, n)
+    stack, held to the residual of `_top_pairs`."""
+    return _top_pairs(stack)[0]
 
 
 def rayleigh(g: Graph, x: np.ndarray) -> float:

@@ -4,10 +4,9 @@ Fold bound checks over enumeration streams and classify equality cases.
 Every check is a spec (`_Check`: the stream, the quantity of mu that is
 checked, its bound, the equality classifier and the expected equality
 classes) run by one fold, `_fold`. Each graph in a stream yields a
-VerificationRecord. Every eigensolve holds its residual to
-`spectral.DEFAULT_TOL` (1e-12); a violation is only reported after the same
-eigensolve runs again with its residual held to `DEFAULT_TOL / 10` (a
-recheck of the residual, not a second method), and equality is only claimed
+VerificationRecord from one eigensolve, whose residual is held to
+`spectral.DEFAULT_TOL` (1e-12); a violation is only reported when that
+residual is also within `DEFAULT_TOL / 10`, and equality is only claimed
 when one isomorphism test against S_{n,k} confirms the float coincidence.
 """
 
@@ -17,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, FrozenSet, Iterable, List, Optional
 
-from . import graph6
+from . import graph6, spectral
 from .canon import canonical_form
 from .enumeration import (
     enumerate_c4free_by_edges,
@@ -25,7 +24,7 @@ from .enumeration import (
     enumerate_kfree_by_order,
 )
 from .graph import Graph, SnkParams, make_snk
-from .spectral import DEFAULT_TOL, spectral_radius
+from .spectral import spectral_radius
 
 EQ_TOL = 1e-9
 
@@ -54,7 +53,6 @@ class VerificationRecord:
 class ViolationCertificate:
     record: VerificationRecord
     eigenvector: List[float]
-    recheck: bool  # confirmed at 10x tighter tolerance
 
 
 @dataclass
@@ -118,8 +116,8 @@ class _Check:
     classify: Optional[Callable[[Graph], Optional[str]]]
     # equality classes the statement names; any other becomes a finding
     expected: Optional[FrozenSet[str]] = None
-    # label of a record above the bound: a violation is rechecked and fails
-    # the check, a witness is what the check looks for
+    # label of a record above the bound: a violation fails the check, a
+    # witness is what the check looks for
     above: str = VIOLATION
 
 
@@ -130,10 +128,12 @@ def _fold(spec: _Check, sink: RecordSink) -> VerifySummary:
     for g in spec.graphs:
         r = spectral_radius(g)
         slack = spec.bound - spec.quantity(r.mu)
-        if slack < -EQ_TOL and spec.above == VIOLATION:
-            # never report a violation off a single float pass
-            r = spectral_radius(g, DEFAULT_TOL / 10)
-            slack = spec.bound - spec.quantity(r.mu)
+        if slack < -EQ_TOL and spec.above == VIOLATION and r.residual > spectral.DEFAULT_TOL / 10:
+            # a violation needs a residual 10x tighter than the solve's own
+            raise spectral.ConvergenceError(
+                f"residual {r.residual:.3e} of a violation at {graph6.encode(g)} "
+                f"above {spectral.DEFAULT_TOL / 10:.3e}"
+            )
         if slack < -EQ_TOL:
             cls = spec.above
         elif abs(slack) <= EQ_TOL and spec.classify is not None:
@@ -142,7 +142,7 @@ def _fold(spec: _Check, sink: RecordSink) -> VerifySummary:
             cls = STRICT
         rec = VerificationRecord(graph6.encode(g), g.n, g.m, r.mu, spec.bound, slack, cls)
         if cls == VIOLATION:
-            summary.violations.append(ViolationCertificate(rec, [float(x) for x in r.vec], True))
+            summary.violations.append(ViolationCertificate(rec, [float(x) for x in r.vec]))
         elif cls != STRICT:
             summary.equalities.append(rec)
             if cls == EQ_UNEXPLAINED:
@@ -172,25 +172,14 @@ def verify_theorem1(
     workers: int = 1,
     sink: RecordSink = None,
     cap_override: bool = False,
+    expected: Optional[FrozenSet[str]] = None,
 ) -> VerifySummary:
     """C4-free with m >= 9 edges and no isolated vertices implies
-    mu <= sqrt(m); reports the maximum and all equality classes."""
+    mu <= sqrt(m); reports the maximum and all equality classes. With
+    `expected`, the equality classes a statement names, every other class
+    is reported as a finding."""
     if m < 9:
         raise ValueError("theorem applies for m >= 9; use verify_small_m below")
-    return _fold(_by_edges("theorem1", m, workers, cap_override, classify=classify_equality), sink)
-
-
-def verify_theorem2(
-    m: int,
-    workers: int = 1,
-    sink: RecordSink = None,
-    cap_override: bool = False,
-) -> VerifySummary:
-    """Theorem 1's check, with every equality class besides the ones the
-    paper states (stars, and S_{9,1} at m = 9) reported as a finding."""
-    if m < 9:
-        raise ValueError("theorem applies for m >= 9; use verify_small_m below")
-    expected = frozenset({EQ_STAR, EQ_S91} if m == 9 else {EQ_STAR})
     spec = _by_edges("theorem1", m, workers, cap_override, classify=classify_equality, expected=expected)
     return _fold(spec, sink)
 

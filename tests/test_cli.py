@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from c4free import graph6
+from c4free import graph6, spectral
 from c4free.cli import COMMANDS, _RecordWriter, emit_certificate, main
 from c4free.spectral import spectral_radius
 from c4free.verify import VerificationRecord
@@ -133,7 +133,7 @@ def test_th1_m9_golden(capsys, tmp_path):
     records = tmp_path / "th1.csv"
     code, out = run(capsys, "verify-th1", "--m", "9", "--format", "csv", "--workers", "1", "--output", str(records))
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == "64b56c0ba3075e0048ba54e55507e03ac1c294cce5bf8f88bd76eb9b8cb36537"
+    assert hashlib.sha256(out.encode()).hexdigest() == "022cfdb20d960eb7a025af2c29b3c25bbfb55a005dadd7904b1e31e124eb320c"
     assert hashlib.sha256(records.read_bytes()).hexdigest() == "fd86ea2c64cd148c2a59d759ab017c9f91146279341aea28f26d8bf200e2a6fd"
     code, out = run(capsys, "enumerate", "--m", "8")
     assert code == 0
@@ -141,6 +141,22 @@ def test_th1_m9_golden(capsys, tmp_path):
     code, out = run(capsys, "enumerate", "--n", "8")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == "51e21e177119cd1b020c3ebae2750e71f242fac7bedafad6e7fb0ef18b1ec994"
+
+
+def test_in3_n7_certificate_golden(capsys, tmp_path):
+    # certificate contents: the summary and each equality's record and witness
+    cert = tmp_path / "in3.json"
+    code, _ = run(capsys, "verify-in3", "--n", "7", "--certificate", str(cert))
+    assert code == 0
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == "dd6bb35a6c75cfebaf6c0140cc5442d202b3f96685d7586e9e018b0a21d8e86a"
+
+
+def test_convergence_error_exit_1(monkeypatch, capsys):
+    # an eigensolve above its residual tolerance is an operational error
+    monkeypatch.setattr(spectral, "DEFAULT_TOL", 1e-300)
+    code = main(["verify-in3", "--n", "3"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: residual")
 
 
 def test_search_needs_a_restart(capsys):

@@ -18,8 +18,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _traced(command, tmp_path):
-    """Run one CLI command under the tracer; its stdout and stats payload."""
+def _traced(command, tmp_path, rc=0):
+    """Run one CLI command under the tracer; its stdout and stats payload.
+    The command must exit with rc."""
     stats = tmp_path / "stats.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
@@ -31,7 +32,7 @@ def _traced(command, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(stats.read_text())
-    assert payload["rc"] == 0, proc.stderr
+    assert payload["rc"] == rc, proc.stderr
     return proc.stdout, payload
 
 
@@ -87,3 +88,10 @@ def test_traced_k2k1_counts(tmp_path):
     stdout, payload = _traced(["verify-k2k1", "--n", "5", "--k", "2"], tmp_path)
     layers = payload["layers"]
     assert layers["enumeration.classes"] == json.loads(stdout)["count"] == layers["verify.records"]
+
+
+def test_traced_th2_counts(tmp_path):
+    # verify-th2 runs the Theorem 1 fold with the stated classes, so the
+    # tracer counts its records; it exits 2 on the two extra classes at m = 9
+    stdout, payload = _traced(["verify-th2", "--m", "9"], tmp_path, rc=2)
+    assert payload["layers"]["verify.records"] == json.loads(stdout)["count"] == 863

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from c4free import spectral
 from c4free._kernels import power_iteration
 from c4free.graph import Graph, make_friendship, make_snk, make_star
 from c4free.search import _candidate_stack, propose_moves, random_c4free_graph
@@ -105,13 +106,10 @@ class TestSpectralRadius:
             u, v = rng.choice(absent)
             assert spectral_radius(g.add_edge(u, v)).mu > spectral_radius(g).mu + 1e-10
 
-    def test_bad_tol(self):
-        with pytest.raises(ValueError):
-            spectral_radius(make_star(3), tol=0.0)
-
-    def test_tol_below_double_precision(self):
+    def test_tol_below_double_precision(self, monkeypatch):
+        monkeypatch.setattr(spectral, "DEFAULT_TOL", 1e-300)
         with pytest.raises(ConvergenceError):
-            spectral_radius(make_star(10), tol=1e-300)
+            spectral_radius(make_star(10))
 
 
 @pytest.fixture(scope="module")
@@ -154,12 +152,11 @@ class TestSpectralRadii:
     def test_bad_input(self):
         with pytest.raises(ValueError):
             spectral_radii(to_numpy(make_star(3)))  # one matrix, not a stack
-        with pytest.raises(ValueError):
-            spectral_radii(to_numpy(make_star(3))[None], tol=0.0)
 
-    def test_tol_below_double_precision(self):
+    def test_tol_below_double_precision(self, monkeypatch):
+        monkeypatch.setattr(spectral, "DEFAULT_TOL", 1e-300)
         with pytest.raises(ConvergenceError):
-            spectral_radii(to_numpy(make_star(10))[None], tol=1e-300)
+            spectral_radii(to_numpy(make_star(10))[None])
 
 
 class TestRayleigh:

@@ -1,20 +1,24 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
 import pytest
 
-from c4free import graph6
+from c4free import graph6, spectral, verify
 from c4free.canon import canonical_form
 from c4free.graph import Graph, SnkParams, make_friendship, make_snk, make_star
-from c4free.spectral import snk_mu
+from c4free.spectral import ConvergenceError, snk_mu, spectral_radius
 from c4free.verify import (
     EQ_FRIENDSHIP,
     EQ_S91,
     EQ_SNK,
     EQ_STAR,
+    VIOLATION,
     VerificationRecord,
+    _Check,
+    _fold,
     classify_equality,
     snk_params,
     srg_table_check,
@@ -96,6 +100,44 @@ class TestTheorem1:
         recs = []
         verify_theorem1(9, sink=recs.append)
         assert len(recs) == 863
+
+
+class TestViolation:
+    # mu(K_{1,4}) = 2 against a bound of 1: a real violation through the fold
+    SPEC = _Check("t", {}, [make_star(5)], lambda mu: mu, 1.0, None)
+
+    def _fold_with_residual(self, monkeypatch, residual):
+        def solve(g):
+            return dataclasses.replace(spectral_radius(g), residual=residual)
+
+        monkeypatch.setattr(verify, "spectral_radius", solve)
+        return _fold(self.SPEC, None)
+
+    def test_one_solve_per_graph(self, monkeypatch):
+        calls = []
+
+        def counting(g, *args):
+            calls.append(g)
+            return spectral_radius(g, *args)
+
+        monkeypatch.setattr(verify, "spectral_radius", counting)
+        s = _fold(self.SPEC, None)
+        assert len(calls) == 1
+        assert not s.ok
+        (cert,) = s.violations
+        assert cert.record.classification == VIOLATION
+        assert cert.record.slack == pytest.approx(-1.0, abs=1e-12)
+        # the Perron vector of K_{1,4}: 1/sqrt(2) at the hub, half that at a leaf
+        hub = 2**-0.5
+        assert cert.eigenvector == pytest.approx([hub] + [hub / 2] * 4, abs=1e-12)
+
+    def test_residual_at_a_tenth_of_tol(self, monkeypatch):
+        s = self._fold_with_residual(monkeypatch, spectral.DEFAULT_TOL / 10)
+        assert len(s.violations) == 1
+
+    def test_residual_above_a_tenth_of_tol(self, monkeypatch):
+        with pytest.raises(ConvergenceError):
+            self._fold_with_residual(monkeypatch, math.nextafter(spectral.DEFAULT_TOL / 10, 1.0))
 
 
 class TestSmallM:
