@@ -8,6 +8,14 @@ Automorphisms discovered at equal leaves prune sibling branches (only
 generators fixing the current individualization path are used, so the
 pruning is sound).
 
+A cell is an int bitmask of its vertices. Cells were always kept in
+ascending vertex order, so a mask holds the same information and the
+leaves, their order and the bytes are those of a search on vertex lists.
+The refiner visits only non-singleton cells, skips a splitter whose
+neighbourhoods meet none of them, and stops once the partition is
+discrete; a singleton splitter {s} splits a cell into its vertices in
+N(s) and the rest. None of these changes the partition it returns.
+
 Two shortcuts leave every byte of output as the full search makes it:
 
 - A target cell of twins (equal neighbourhoods, apart from each other:
@@ -19,20 +27,35 @@ Two shortcuts leave every byte of output as the full search makes it:
   ``{v}``. Its other cells are cells of the equitable parent and can split
   nothing, so their pops in the full queue were no-ops.
 
+The search proves automorphisms on the way: one per leaf equal to the
+best, and the swap of the first vertex of each skipped twin cell with each
+other vertex of it. canonical_form hands them to a caller that asks; they
+generate a subgroup of Aut(g), not always all of it. The twin swaps take
+no part in the orbit pruning, so the search visits what it visited
+without them.
+
 The resulting byte string is identical for isomorphic graphs and distinct
 otherwise.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .graph import Graph
+from .graph import Graph, _bits
+
+Automorphism = Tuple[int, ...]  # vertex v goes to p[v]
 
 
-def canonical_form(g: Graph) -> bytes:
-    """Isomorphism-invariant byte string for g."""
-    return _Canonizer(g).run()
+def canonical_form(g: Graph, automorphisms: Optional[List[Automorphism]] = None) -> bytes:
+    """Isomorphism-invariant byte string for g. If automorphisms is a
+    list, the automorphisms of g that the search proved are appended to
+    it (see the module docstring)."""
+    c = _Canonizer(g)
+    form = c.run()
+    if automorphisms is not None:
+        automorphisms.extend(c.automorphisms())
+    return form
 
 
 def canonical_labeling(g: Graph) -> Tuple[int, ...]:
@@ -48,61 +71,102 @@ def canonical_labeling(g: Graph) -> Tuple[int, ...]:
 
 class _Canonizer:
     def __init__(self, g: Graph) -> None:
-        self.g = g
         self.n = g.n
         self.rows = g.rows
         self.best_bits: Optional[int] = None
         self.best_leaf: Tuple[int, ...] = ()
-        self.gens: List[Tuple[int, ...]] = []
+        self.gens: List[Automorphism] = []
+        self.twin_swaps: Dict[Tuple[int, int], None] = {}  # ordered set of swapped twin pairs
 
     def run(self) -> bytes:
         n = self.n
         if n == 0:
             return b"\x00\x00"
-        self._search(self._refine([list(range(n))]), [])
+        self._search(self._refine([(1 << n) - 1]), [])
         nbits = n * (n - 1) // 2
         assert self.best_bits is not None
         return n.to_bytes(2, "big") + self.best_bits.to_bytes((nbits + 7) // 8 or 1, "big")
 
-    def _refine(self, partition: List[List[int]], queue: Optional[List[int]] = None) -> List[List[int]]:
-        """Equitable refinement of an ordered partition. Splitting is by
-        neighbor counts into a splitter cell, subcells ordered by
-        descending count; the outcome depends only on the ordered-partition
-        structure, so it is label-invariant.
+    def automorphisms(self) -> List[Automorphism]:
+        """The leaf generators, then one transposition per twin swap."""
+        out = list(self.gens)
+        for a, b in self.twin_swaps:
+            p = list(range(self.n))
+            p[a], p[b] = b, a
+            out.append(tuple(p))
+        return out
+
+    def _refine(self, partition: List[int], queue: Optional[List[int]] = None) -> List[int]:
+        """Equitable refinement of an ordered partition of cell masks.
+        Splitting is by neighbor counts into a splitter cell, subcells
+        ordered by descending count; the outcome depends only on the
+        ordered-partition structure, so it is label-invariant.
 
         queue is the stack of splitter masks, popped from the end; by
         default every cell of partition. A caller may pass fewer only when
         the cells left out cannot split anything."""
         rows = self.rows
-        work = list(partition)
         if queue is None:
-            queue = [self._mask(c) for c in partition]
-        while queue:
+            queue = list(partition)
+        live = [c for c in partition if c & (c - 1)]  # the non-singleton cells, in order
+        live_mask = 0
+        for c in live:
+            live_mask |= c
+        splits: Dict[int, List[int]] = {}  # split cell -> its subcells, in order
+        while queue and live:
             splitter = queue.pop()
-            newpart: List[List[int]] = []
-            for cell in work:
-                if len(cell) == 1:
-                    newpart.append(cell)
+            single = not splitter & (splitter - 1)
+            if single:
+                reach = rows[splitter.bit_length() - 1]
+            else:
+                reach = 0
+                todo = splitter
+                while todo:
+                    low = todo & -todo
+                    reach |= rows[low.bit_length() - 1]
+                    todo ^= low
+            if not reach & live_mask:
+                continue
+            kept: List[int] = []
+            for cell in live:
+                hit = cell & reach
+                if not hit or (single and hit == cell):
+                    kept.append(cell)
                     continue
-                buckets: dict[int, List[int]] = {}
-                for v in cell:
-                    buckets.setdefault((rows[v] & splitter).bit_count(), []).append(v)
-                if len(buckets) == 1:
-                    newpart.append(cell)
-                    continue
-                for key in sorted(buckets, reverse=True):
-                    sub = buckets[key]
-                    newpart.append(sub)
-                    queue.append(self._mask(sub))
-            work = newpart
-        return work
-
-    @staticmethod
-    def _mask(cell: List[int]) -> int:
-        m = 0
-        for v in cell:
-            m |= 1 << v
-        return m
+                if single:
+                    subs = [hit, cell ^ hit]
+                else:
+                    buckets: Dict[int, int] = {}
+                    todo = cell
+                    while todo:
+                        low = todo & -todo
+                        key = (rows[low.bit_length() - 1] & splitter).bit_count()
+                        buckets[key] = buckets.get(key, 0) | low
+                        todo ^= low
+                    if len(buckets) == 1:
+                        kept.append(cell)
+                        continue
+                    subs = [buckets[key] for key in sorted(buckets, reverse=True)]
+                splits[cell] = subs
+                for sub in subs:
+                    queue.append(sub)
+                    if sub & (sub - 1):
+                        kept.append(sub)
+                    else:
+                        live_mask ^= sub
+            live = kept
+        if not splits:
+            return partition
+        out: List[int] = []
+        stack = partition[::-1]
+        while stack:
+            cell = stack.pop()
+            subs = splits.get(cell)
+            if subs is None:
+                out.append(cell)
+            else:
+                stack.extend(reversed(subs))
+        return out
 
     def _leaf_bits(self, perm: List[int]) -> int:
         # position i takes vertex perm[i]; pack upper triangle row-major
@@ -114,10 +178,10 @@ class _Canonizer:
                 bits = bits << 1 | (ri >> perm[j] & 1)
         return bits
 
-    def _search(self, partition: List[List[int]], fixed: List[int]) -> None:
-        target = next((i for i, c in enumerate(partition) if len(c) > 1), None)
+    def _search(self, partition: List[int], fixed: List[int]) -> None:
+        target = next((i for i, c in enumerate(partition) if c & (c - 1)), None)
         if target is None:
-            perm = [c[0] for c in partition]
+            perm = [c.bit_length() - 1 for c in partition]
             bits = self._leaf_bits(perm)
             if self.best_bits is None or bits > self.best_bits:
                 self.best_bits = bits
@@ -129,17 +193,23 @@ class _Canonizer:
                 self.gens.append(tuple(auto))
             return
         cell = partition[target]
+        cell_vertices = list(_bits(cell))
         rows = self.rows
         # twins: every branch but the first is an automorphic image of it
-        twins = len({rows[w] for w in cell}) == 1 or len({rows[w] | 1 << w for w in cell}) == 1
+        twins = len({rows[w] for w in cell_vertices}) == 1 or len({rows[w] | 1 << w for w in cell_vertices}) == 1
+        if twins:
+            first = cell_vertices[0]
+            for w in cell_vertices[1:]:
+                self.twin_swaps[first, w] = None
+            cell_vertices = cell_vertices[:1]
         tried: List[int] = []
-        for v in cell[:1] if twins else cell:
+        for v in cell_vertices:
             if self._in_orbit_of_tried(v, tried, fixed):
                 continue
             tried.append(v)
-            rest = [w for w in cell if w != v]
-            child = partition[:target] + [[v], rest] + partition[target + 1:]
-            self._search(self._refine(child, [1 << v, self._mask(rest)]), fixed + [v])
+            rest = cell ^ 1 << v
+            child = partition[:target] + [1 << v, rest] + partition[target + 1:]
+            self._search(self._refine(child, [1 << v, rest]), fixed + [v])
 
     def _in_orbit_of_tried(self, v: int, tried: List[int], fixed: List[int]) -> bool:
         if not tried or not self.gens:

@@ -69,23 +69,38 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
 
-    def add_edge(self, u: int, v: int) -> "Graph":
+    @classmethod
+    def _unchecked(cls, n: int, rows: Tuple[int, ...]) -> "Graph":
+        """A graph on rows that are valid by construction, built without
+        the checks of __post_init__."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "rows", rows)
+        return g
+
+    def _check_pair(self, u: int, v: int) -> None:
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise GraphError(f"vertex pair ({u}, {v}) out of range for n={self.n}")
         if u == v:
             raise GraphError("self-loop")
+
+    def add_edge(self, u: int, v: int) -> "Graph":
+        self._check_pair(u, v)
         if self.has_edge(u, v):
             raise GraphError(f"edge ({u}, {v}) already present")
         rows = list(self.rows)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-        return Graph(self.n, tuple(rows))
+        return Graph._unchecked(self.n, tuple(rows))
 
     def remove_edge(self, u: int, v: int) -> "Graph":
+        self._check_pair(u, v)
         if not self.has_edge(u, v):
             raise GraphError(f"edge ({u}, {v}) not present")
         rows = list(self.rows)
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
-        return Graph(self.n, tuple(rows))
+        return Graph._unchecked(self.n, tuple(rows))
 
     def common_neighbors(self, u: int, v: int) -> int:
         if u == v:

@@ -268,6 +268,8 @@ def hill_climb(
         raise ValueError("need m >= 1")
     if restarts < 1:
         raise ValueError("need restarts >= 1")
+    if workers < 1:
+        raise ValueError("need workers >= 1")
     seeds = [seed * 1_000_003 + i for i in range(restarts)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

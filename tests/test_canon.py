@@ -135,16 +135,57 @@ def test_matches_reference_on_cycle_unions():
                 _assert_matches_reference(g.relabel(tuple(perm)))
 
 
-def test_matches_reference_on_enumerated_graphs(monkeypatch):
+def _assert_automorphisms(g):
+    # each automorphism handed back maps rows onto rows
+    found = []
+    form = canonical_form(g, found)
+    assert form == canonical_form(g)
+    for p in found:
+        assert sorted(p) == list(range(g.n))
+        assert g.relabel(p) == g
+    return found
+
+
+def test_automorphisms_of_enumerated_graphs(monkeypatch):
     seen = []
     form = enumeration.canonical_form
 
-    def capture(g):
+    def capture(g, *args):
         seen.append(g)
-        return form(g)
+        return form(g, *args)
 
     monkeypatch.setattr(enumeration, "canonical_form", capture)
-    list(enumeration.enumerate_c4free_by_edges(8))
+    list(enumeration.enumerate_c4free_by_edges(9))
+    assert len(seen) > 2000
+    assert sum(len(_assert_automorphisms(g)) for g in seen) > len(seen)
+
+
+def test_automorphisms_of_random_graphs(rng):
+    for _ in range(300):
+        _assert_automorphisms(random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.8)))
+
+
+def test_automorphisms_include_twin_swaps():
+    # the star's leaves are never branched on, so no leaf generator moves
+    # them; the twin swaps make them one orbit
+    found = _assert_automorphisms(make_star(9))
+    orbit = {1}
+    for _ in range(9):
+        orbit |= {p[v] for p in found for v in orbit}
+    assert orbit == set(range(1, 9))
+
+
+def test_matches_reference_on_enumerated_graphs(monkeypatch):
+    # m = 9: with orbit pruning, m = 8 canonizes too few graphs for the bound
+    seen = []
+    form = enumeration.canonical_form
+
+    def capture(g, *args):
+        seen.append(g)
+        return form(g, *args)
+
+    monkeypatch.setattr(enumeration, "canonical_form", capture)
+    list(enumeration.enumerate_c4free_by_edges(9))
     assert len(seen) > 1000
     for g in seen:
         _assert_matches_reference(g)
@@ -161,11 +202,12 @@ def test_child_refined_from_its_two_new_cells(rng):
     for _ in range(300):
         g = random_graph(rng, rng.randint(2, 12), rng.uniform(0.1, 0.8))
         c = _Canonizer(g)
-        part = c._refine([list(range(g.n))])
-        target = next((i for i, cell in enumerate(part) if len(cell) > 1), None)
+        part = c._refine([(1 << g.n) - 1])
+        target = next((i for i, cell in enumerate(part) if cell & (cell - 1)), None)
         if target is None:
             continue
-        for v in part[target]:
-            rest = [w for w in part[target] if w != v]
-            child = part[:target] + [[v], rest] + part[target + 1:]
-            assert c._refine(child, [1 << v, c._mask(rest)]) == c._refine(child)
+        cell = part[target]
+        for v in (v for v in range(g.n) if cell >> v & 1):
+            rest = cell ^ 1 << v
+            child = part[:target] + [1 << v, rest] + part[target + 1:]
+            assert c._refine(child, [1 << v, rest]) == c._refine(child)

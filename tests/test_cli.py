@@ -165,6 +165,34 @@ def test_search_needs_a_restart(capsys):
     assert "need restarts >= 1" in capsys.readouterr().err
 
 
+# one small run of every command that takes --workers
+WORKER_RUNS = {
+    "verify-th1": ["--m", "9"],
+    "verify-th2": ["--m", "9"],
+    "verify-small-m": ["--m", "4"],
+    "verify-in3": ["--n", "3"],
+    "verify-conjecture": ["--n", "4"],
+    "verify-k2k1": ["--n", "3", "--k", "2"],
+    "enumerate": ["--m", "3"],
+    "search": ["--m", "5", "--restarts", "1"],
+}
+
+
+def test_worker_runs_cover_the_table():
+    assert set(WORKER_RUNS) == {name for name, cmd in COMMANDS.items() if "workers" in cmd.shared}
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+@pytest.mark.parametrize("command", sorted(WORKER_RUNS))
+def test_workers_below_one_rejected(command, workers, capsys):
+    # no command falls back to one worker in silence
+    code = main([command, *WORKER_RUNS[command], "--workers", workers])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: need workers >= 1\n"
+    assert captured.out == ""
+
+
 def test_verify_th2_flags_extra_equalities(capsys):
     # the equality family at m = 9 is larger than the stated star/S_{9,1}
     # pair; the classifier reports the extras as findings with exit code 2
@@ -232,11 +260,22 @@ def test_verify_command_strict_json(command, capsys):
     assert payload["count"] > 0 and math.isfinite(payload["min_slack"])
 
 
-@pytest.mark.parametrize("size", [["--m", "8"], ["--n", "6"], ["--m", "9"]])
+@pytest.mark.parametrize("size", [["--m", "8"], ["--n", "6"], ["--m", "9"], ["--n", "8"]])
 def test_enumerate_independent_of_workers(size, capsys):
     _, one = run(capsys, "enumerate", *size, "--workers", "1")
     _, two = run(capsys, "enumerate", *size, "--workers", "2")
     assert one == two
+
+
+def test_verify_k2k1_independent_of_workers(capsys, tmp_path):
+    # the K_{2,3}-free levels carry their own automorphisms to the workers
+    outputs = []
+    for workers in ("1", "2"):
+        records = tmp_path / f"k2k1-{workers}.jsonl"
+        code, out = run(capsys, "verify-k2k1", "--n", "7", "--k", "2", "--workers", workers, "--output", str(records))
+        assert code == 0
+        outputs.append((out, records.read_text()))
+    assert outputs[0] == outputs[1]
 
 
 def test_readme_lists_every_flag():

@@ -16,7 +16,7 @@ on n_G vertices has 7!/(|Aut G| (7 - n_G)!) labelled copies on 7.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations
+from itertools import combinations, islice
 from math import factorial
 from typing import Tuple
 
@@ -30,6 +30,9 @@ from c4free.canon import canonical_form
 from c4free.enumeration import (
     CapExceeded,
     EnumSpec,
+    _extend_by_edges,
+    _extend_fixed_order,
+    _levels,
     enumerate_c4free_by_edges,
     enumerate_c4free_by_order,
     enumerate_kfree_by_order,
@@ -218,6 +221,40 @@ class TestByOrder:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_orbit_count(self, n):
         assert orbit_sum(enumerate_c4free_by_order(n), n) == labelled_count(n, 1) == LABELLED_C4FREE[n - 1]
+
+
+def _first_child_per_class(g, k, max_n, autos):
+    """Canonical form -> the first child of g in that class, as the scan of
+    one parent keeps it."""
+    first = {}
+    for child in _extend_fixed_order(g, k, autos) + _extend_by_edges(g, max_n, autos):
+        first.setdefault(canonical_form(child), child)
+    return first
+
+
+@pytest.mark.parametrize(
+    "k, max_n, levels",
+    [(1, 10, 9), (1, 7, None), (2, 6, None)],
+    ids=["by-edges-m9", "by-order-n7", "k2-by-order-n6"],
+)
+def test_orbit_pruning_keeps_every_class(k, max_n, levels):
+    # the parents of enumerate --m 9 (levels of at most 8 edges), of --n 7,
+    # and of K_{2,3}-free --n 6: extending by one edge per orbit of the
+    # automorphisms the canonizer proved gives every class the full
+    # extension gives, with the same first child
+    parents = 0
+    for level in islice(_levels(k, max_n, 1), levels):
+        for g, autos in level.values():
+            parents += 1
+            pruned = _first_child_per_class(g, k, max_n, autos)
+            assert pruned == _first_child_per_class(g, k, max_n, ())
+    assert parents > 50
+
+
+def test_workers_below_one_rejected():
+    for stream in (enumerate_c4free_by_edges(3, workers=0), enumerate_kfree_by_order(3, 2, workers=-1)):
+        with pytest.raises(ValueError, match="need workers >= 1"):
+            next(stream)
 
 
 class TestKFree:

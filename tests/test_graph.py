@@ -127,6 +127,14 @@ class TestMutation:
         with pytest.raises(GraphError):
             make_star(3).remove_edge(1, 2)
 
+    @pytest.mark.parametrize("u, v", [(0, 3), (3, 0), (-1, 1), (1, -1), (0, 9)])
+    def test_edge_out_of_range_raises(self, u, v):
+        # a negative index would otherwise wrap to the last row
+        with pytest.raises(GraphError, match="out of range"):
+            make_star(3).add_edge(u, v)
+        with pytest.raises(GraphError, match="out of range"):
+            make_star(3).remove_edge(u, v)
+
     def test_strip_isolated(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2)])
         h = g.strip_isolated()
@@ -144,6 +152,8 @@ class TestMutation:
                 continue
             g2 = g.remove_edge(u, v) if g.has_edge(u, v) else g.add_edge(u, v)
             check_invariants(g2)
+            # the edits build their result unchecked; the checked constructor agrees
+            assert Graph(g2.n, g2.rows) == g2
 
 
 class TestC4EdgePredicate:
