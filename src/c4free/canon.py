@@ -11,10 +11,9 @@ pruning is sound).
 A cell is an int bitmask of its vertices. Cells were always kept in
 ascending vertex order, so a mask holds the same information and the
 leaves, their order and the bytes are those of a search on vertex lists.
-The refiner visits only non-singleton cells, skips a splitter whose
-neighbourhoods meet none of them, and stops once the partition is
-discrete; a singleton splitter {s} splits a cell into its vertices in
-N(s) and the rest. None of these changes the partition it returns.
+The refiner makes one pass over the partition per splitter and stops once
+the partition is discrete; a singleton splitter {s} splits a cell into its
+vertices in N(s) and the rest.
 
 Two shortcuts leave every byte of output as the full search makes it:
 
@@ -108,32 +107,21 @@ class _Canonizer:
         rows = self.rows
         if queue is None:
             queue = list(partition)
-        live = [c for c in partition if c & (c - 1)]  # the non-singleton cells, in order
-        live_mask = 0
-        for c in live:
-            live_mask |= c
-        splits: Dict[int, List[int]] = {}  # split cell -> its subcells, in order
-        while queue and live:
+        while queue and len(partition) < self.n:
             splitter = queue.pop()
             single = not splitter & (splitter - 1)
             if single:
                 reach = rows[splitter.bit_length() - 1]
-            else:
-                reach = 0
-                todo = splitter
-                while todo:
-                    low = todo & -todo
-                    reach |= rows[low.bit_length() - 1]
-                    todo ^= low
-            if not reach & live_mask:
-                continue
-            kept: List[int] = []
-            for cell in live:
-                hit = cell & reach
-                if not hit or (single and hit == cell):
-                    kept.append(cell)
+            out: List[int] = []
+            for cell in partition:
+                if not cell & (cell - 1):
+                    out.append(cell)
                     continue
                 if single:
+                    hit = cell & reach
+                    if not hit or hit == cell:
+                        out.append(cell)
+                        continue
                     subs = [hit, cell ^ hit]
                 else:
                     buckets: Dict[int, int] = {}
@@ -144,29 +132,13 @@ class _Canonizer:
                         buckets[key] = buckets.get(key, 0) | low
                         todo ^= low
                     if len(buckets) == 1:
-                        kept.append(cell)
+                        out.append(cell)
                         continue
                     subs = [buckets[key] for key in sorted(buckets, reverse=True)]
-                splits[cell] = subs
-                for sub in subs:
-                    queue.append(sub)
-                    if sub & (sub - 1):
-                        kept.append(sub)
-                    else:
-                        live_mask ^= sub
-            live = kept
-        if not splits:
-            return partition
-        out: List[int] = []
-        stack = partition[::-1]
-        while stack:
-            cell = stack.pop()
-            subs = splits.get(cell)
-            if subs is None:
-                out.append(cell)
-            else:
-                stack.extend(reversed(subs))
-        return out
+                out += subs
+                queue += subs
+            partition = out
+        return partition
 
     def _leaf_bits(self, perm: List[int]) -> int:
         # position i takes vertex perm[i]; pack upper triangle row-major

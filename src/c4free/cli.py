@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import json
 import sys
+from itertools import chain, islice
 from pathlib import Path
 from typing import IO, Callable, Optional, Tuple
 
@@ -37,19 +38,24 @@ CSV_COLUMNS = ["graph6", "n", "m", "mu", "bound", "slack", "classification"]
 
 
 class _RecordWriter:
+    """Writes each record to path, if any. The file is opened at the first
+    record, so a command that fails its argument checks leaves it as it
+    was; every stream that passes them has a first graph."""
+
     def __init__(self, path: Optional[str], fmt: str) -> None:
+        self.path = path
         self.fmt = fmt
         self.fh: Optional[IO[str]] = None
         self.csv = None
-        if path:
-            self.fh = open(path, "w", newline="")
-            if fmt == "csv":
-                self.csv = csv.writer(self.fh)
-                self.csv.writerow(CSV_COLUMNS)
 
     def __call__(self, rec: VerificationRecord) -> None:
-        if self.fh is None:
+        if not self.path:
             return
+        if self.fh is None:
+            self.fh = open(self.path, "w", newline="")
+            if self.fmt == "csv":
+                self.csv = csv.writer(self.fh)
+                self.csv.writerow(CSV_COLUMNS)
         if self.csv is not None:
             self.csv.writerow(
                 [rec.graph_id, rec.n, rec.m, repr(rec.mu), repr(rec.bound), repr(rec.slack), rec.classification]
@@ -141,9 +147,11 @@ def _enumerate(args) -> int:
         stream = enumerate_c4free_by_edges(args.m, args.workers, args.force)
     else:
         stream = enumerate_c4free_by_order(args.n, args.workers, args.force)
+    # the stream checks its arguments at its first graph, before --output is opened
+    head = list(islice(stream, 1))
     fh = open(args.output, "w") if args.output else sys.stdout
     try:
-        for g in stream:
+        for g in chain(head, stream):
             fh.write(graph6.encode(g) + "\n")
     finally:
         if args.output:

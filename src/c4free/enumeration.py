@@ -36,7 +36,6 @@ canonical form), the connected classes last.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 from operator import getitem
@@ -221,6 +220,8 @@ def _merge_levels(parents: Level, k: int, max_n: int, workers: int) -> Level:
         workers = 1
         parts = [_children_chunk((plist, k, max_n))]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         # parents dealt round-robin, which balances the workers better than
         # contiguous chunks of the sorted parents
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -6,7 +6,8 @@ import random
 from c4free import enumeration
 from c4free.canon import _Canonizer, canonical_form, canonical_labeling
 from c4free.graph import Graph, make_friendship, make_snk, make_star
-from canon_reference import reference_canon
+from canon_reference import _Canonizer as _ReferenceCanonizer
+from canon_reference import _mask, reference_canon
 from conftest import random_graph
 
 
@@ -211,3 +212,55 @@ def test_child_refined_from_its_two_new_cells(rng):
             rest = cell ^ 1 << v
             child = part[:target] + [1 << v, rest] + part[target + 1:]
             assert c._refine(child, [1 << v, rest]) == c._refine(child)
+
+
+def _assert_refines_as_reference(g, partition, queue=None):
+    # the reference refiner takes list cells and always the full queue
+    got = _Canonizer(g)._refine(list(partition), queue)
+    cells = [[v for v in range(g.n) if c >> v & 1] for c in partition]
+    assert got == [_mask(c) for c in _ReferenceCanonizer(g)._refine(cells)]
+
+
+def _random_ordered_partition(rng, n):
+    order = list(range(n))
+    rng.shuffle(order)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1))) if n > 1 else []
+    return [_mask(order[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
+
+
+def test_refine_matches_reference_on_random_partitions(rng):
+    for _ in range(500):
+        n = rng.randint(1, 20)
+        g = random_graph(rng, n, rng.uniform(0.1, 0.8))
+        _assert_refines_as_reference(g, [(1 << n) - 1])
+        _assert_refines_as_reference(g, _random_ordered_partition(rng, n))
+
+
+def test_refine_matches_reference_in_enumeration(monkeypatch):
+    # every refinement the search makes for the graphs enumeration
+    # canonizes: each unit partition, and each child with the queue of its
+    # two new cells
+    calls = []
+    refine = _Canonizer._refine
+
+    def capture(self, partition, queue=None):
+        calls.append((self.n, self.rows, list(partition), None if queue is None else list(queue)))
+        return refine(self, partition, queue)
+
+    monkeypatch.setattr(_Canonizer, "_refine", capture)
+    list(enumeration.enumerate_c4free_by_edges(8))
+    monkeypatch.setattr(_Canonizer, "_refine", refine)
+    assert sum(queue is None for *_, queue in calls) > 500
+    assert sum(queue is not None for *_, queue in calls) > 1000
+    for n, rows, partition, queue in calls:
+        _assert_refines_as_reference(Graph._unchecked(n, rows), partition, queue)
+
+
+def test_refine_returns_a_discrete_partition_unchanged(rng):
+    for _ in range(100):
+        n = rng.randint(1, 20)
+        c = _Canonizer(random_graph(rng, n, rng.uniform(0.1, 0.8)))
+        order = list(range(n))
+        rng.shuffle(order)
+        partition = [1 << v for v in order]
+        assert c._refine(list(partition), [partition[0], (1 << n) - 1]) == partition

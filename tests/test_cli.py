@@ -4,11 +4,15 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import c4free
 from c4free import graph6, spectral
 from c4free.cli import COMMANDS, _RecordWriter, emit_certificate, main
 from c4free.spectral import spectral_radius
@@ -191,6 +195,33 @@ def test_workers_below_one_rejected(command, workers, capsys):
     assert code == 1
     assert captured.err == "error: need workers >= 1\n"
     assert captured.out == ""
+
+
+# commands that fail an argument check before their first record
+FAILED_CHECKS = [
+    ["verify-th1", "--m", "9", "--workers", "0", "--format", "csv"],
+    ["verify-th1", "--m", "17", "--format", "csv"],
+    ["verify-th1", "--m", "5"],
+    ["enumerate", "--m", "17"],
+    ["enumerate", "--n", "3", "--workers", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", FAILED_CHECKS, ids=" ".join)
+def test_failed_check_leaves_output_as_it_was(argv, tmp_path, capsys):
+    out = tmp_path / "earlier"
+    out.write_text("earlier contents\n")
+    assert main([*argv, "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.read_text() == "earlier contents\n"
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # a one-worker command never starts a pool, so it does not import one
+    src = str(Path(c4free.__file__).resolve().parent.parent)
+    probe = "import sys, c4free.cli; print('concurrent.futures.process' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 def test_verify_th2_flags_extra_equalities(capsys):
