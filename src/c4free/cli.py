@@ -12,9 +12,8 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
-from itertools import chain, islice
-from pathlib import Path
 from typing import IO, Callable, Optional, Tuple
 
 from . import graph6
@@ -38,44 +37,26 @@ CSV_COLUMNS = ["graph6", "n", "m", "mu", "bound", "slack", "classification"]
 
 
 class _RecordWriter:
-    """Writes each record to path, if any. The file is opened at the first
-    record, so a command that fails its argument checks leaves it as it
-    was; every stream that passes them has a first graph."""
+    """Writes each record to the open file fh, if any."""
 
-    def __init__(self, path: Optional[str], fmt: str) -> None:
-        self.path = path
+    def __init__(self, fh: Optional[IO[str]], fmt: str) -> None:
+        self.fh = fh
         self.fmt = fmt
-        self.fh: Optional[IO[str]] = None
-        self.csv = None
+        self.csv = csv.writer(fh) if fh and fmt == "csv" else None
+        if self.csv is not None:
+            self.csv.writerow(CSV_COLUMNS)
 
     def __call__(self, rec: VerificationRecord) -> None:
-        if not self.path:
-            return
-        if self.fh is None:
-            self.fh = open(self.path, "w", newline="")
-            if self.fmt == "csv":
-                self.csv = csv.writer(self.fh)
-                self.csv.writerow(CSV_COLUMNS)
         if self.csv is not None:
             self.csv.writerow(
                 [rec.graph_id, rec.n, rec.m, repr(rec.mu), repr(rec.bound), repr(rec.slack), rec.classification]
             )
+        elif not self.fh:
+            return
         elif self.fmt == "graph6-lines":
             self.fh.write(rec.graph_id + "\n")
         else:
             self.fh.write(json.dumps(dataclasses.asdict(rec)) + "\n")
-
-    def close(self) -> None:
-        if self.fh:
-            self.fh.close()
-
-
-def emit_certificate(path: str, payload: dict) -> None:
-    """Self-contained JSON certificate for a violation or equality case."""
-    try:
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-    except OSError as exc:
-        raise SystemExit(f"error: cannot write certificate to {path}: {exc}")
 
 
 def _summary_json(summary: VerifySummary) -> dict:
@@ -105,26 +86,16 @@ def _finish(args, summary: VerifySummary) -> int:
     ]
     print(json.dumps(out, indent=2))
     if args.certificate:
-        emit_certificate(
-            args.certificate,
-            {"summary": out},
-        )
+        args.certificate.write(json.dumps({"summary": out}, indent=2) + "\n")
     return 0 if summary.ok else 2
 
 
-def _verify(
-    fold: Callable[[argparse.Namespace, _RecordWriter], VerifySummary]
-) -> Callable[[argparse.Namespace], int]:
+def _verify(fold: Callable[[argparse.Namespace, _RecordWriter], VerifySummary]) -> Callable[[argparse.Namespace], int]:
     """Runner of a verify command: the fold streams its records to the
     --output file; the summary is printed and certified by _finish."""
 
     def run(args) -> int:
-        sink = _RecordWriter(args.output, args.format)
-        try:
-            summary = fold(args, sink)
-        finally:
-            sink.close()
-        return _finish(args, summary)
+        return _finish(args, fold(args, _RecordWriter(args.output, args.format)))
 
     return run
 
@@ -147,15 +118,9 @@ def _enumerate(args) -> int:
         stream = enumerate_c4free_by_edges(args.m, args.workers, args.force)
     else:
         stream = enumerate_c4free_by_order(args.n, args.workers, args.force)
-    # the stream checks its arguments at its first graph, before --output is opened
-    head = list(islice(stream, 1))
-    fh = open(args.output, "w") if args.output else sys.stdout
-    try:
-        for g in chain(head, stream):
-            fh.write(graph6.encode(g) + "\n")
-    finally:
-        if args.output:
-            fh.close()
+    fh = args.output or sys.stdout
+    for g in stream:
+        fh.write(graph6.encode(g) + "\n")
     return 0
 
 
@@ -170,7 +135,7 @@ def _search(args) -> int:
     }
     print(json.dumps(out, indent=2))
     if args.output:
-        Path(args.output).write_text(json.dumps(state.moves, indent=2) + "\n")
+        args.output.write(json.dumps(state.moves, indent=2) + "\n")
     return 0
 
 
@@ -220,7 +185,7 @@ COMMANDS = {
         _VERIFY,
     ),
     "verify-small-m": Command(
-        "witnesses of mu > sqrt(m) for 4 <= m <= 8",
+        "witnesses of mu > sqrt(m) for 4 <= m <= 9 (none at m = 9)",
         _verify(lambda a, sink: verify_small_m(a.m, a.workers, sink)),
         (_M,),
         ("workers", "output", "format", "certificate"),
@@ -277,13 +242,47 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _open_outputs(args, parts: list) -> None:
+    """Replaces each --output and --certificate path of args by an open file
+    `<target>.<pid>.part` and appends (file, target) to parts. Refuses, before
+    any work, what open(path, "w") refuses and an existing target that is not
+    a regular file (a device, a pipe). Writes through a symlink."""
+    for key in ("output", "certificate"):
+        path = getattr(args, key, None)
+        if not path:
+            continue
+        real = os.path.realpath(path)
+        if os.path.exists(real):
+            if not os.path.isfile(real):
+                raise OSError(f"not a regular file: {path}")
+            open(real, "a").close()  # the write access open(path, "w") needs
+        fh = open(f"{real}.{os.getpid()}.part", "x", newline="")
+        parts.append((fh, real))
+        if os.path.isfile(real):  # keep its mode, as open(path, "w") does
+            os.chmod(fh.fileno(), os.stat(real).st_mode & 0o7777)
+        setattr(args, key, fh)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
+    """Runs one command. Each output file (_open_outputs) replaces its target
+    when the command returns, and is deleted when it raises."""
     args = build_parser().parse_args(argv)
+    parts: list = []  # (open .part file, target)
     try:
-        return COMMANDS[args.command].run(args)
+        _open_outputs(args, parts)
+        code = COMMANDS[args.command].run(args)
+        for fh, real in parts:
+            fh.close()
+            os.replace(fh.name, real)
+        return code
     except (ValueError, OSError, ConvergenceError) as exc:  # CapExceeded is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        for fh, _ in parts:  # what is left of a command that raised
+            fh.close()
+            if os.path.exists(fh.name):
+                os.unlink(fh.name)
 
 
 if __name__ == "__main__":

@@ -62,15 +62,18 @@ def _encode_n(n: int) -> str:
 
 
 def _decode_n(s: str) -> tuple[int, str]:
+    """Order and body of s: the size header is one character, or "~" and
+    three, or "~~" and six, each a 6-bit digit at offset 63."""
     if not s:
         raise GraphError("empty graph6 string")
-    if s[0] != "~":
-        return ord(s[0]) - 63, s[1:]
-    if len(s) >= 2 and s[1] != "~":
-        vals = [ord(c) - 63 for c in s[1:4]]
-        return vals[0] << 12 | vals[1] << 6 | vals[2], s[4:]
-    vals = [ord(c) - 63 for c in s[2:8]]
+    start, width = (2, 6) if s.startswith("~~") else (1, 3) if s[0] == "~" else (0, 1)
+    head = s[start : start + width]
+    if len(head) < width:
+        raise GraphError(f"truncated graph6 size header {s!r}")
     n = 0
-    for v in vals:
-        n = n << 6 | v
-    return n, s[8:]
+    for ch in head:
+        val = ord(ch) - 63
+        if not 0 <= val < 64:
+            raise GraphError(f"invalid graph6 character {ch!r}")
+        n = n << 6 | val
+    return n, s[start + width :]

@@ -283,7 +283,10 @@ def hill_climb(
 
 def claim1_check(g: Graph, u: int, v: int) -> bool:
     """Adjacent degree-2 vertices in a connected C4-free graph with m >= 14:
-    the Perron weight product x_u x_v stays below 1/(4 mu)."""
+    the Perron weight product x_u x_v stays below 1/(4 mu). These stated
+    hypotheses do not imply the claim: on the tadpole M{CGGC@?G?_@?@??_ (a
+    triangle with an 11-edge path, mu = 2.2361) the pair (1, 2) has
+    x_1 x_2 = 0.2236 against 1/(4 mu) = 0.1118, and the check is False."""
     if not g.has_edge(u, v):
         raise GraphError("uv must be an edge")
     if g.degree(u) != 2 or g.degree(v) != 2:

@@ -78,8 +78,8 @@ RecordSink = Optional[Callable[[VerificationRecord], None]]
 def snk_params(g: Graph) -> Optional[SnkParams]:
     """(n, k) if g without its isolated vertices is isomorphic to S_{n,k},
     else None. S_{n,k} has m = n - 1 + k edges, so k = m - n + 1 is the
-    only candidate."""
-    h = g.strip_isolated()
+    only candidate. An edgeless graph is kept whole, so K_1 is S_{1,0}."""
+    h = g.strip_isolated() if g.m else g
     k = h.m - h.n + 1
     if not 0 <= k <= (h.n - 1) // 2:
         return None
@@ -207,9 +207,8 @@ def verify_in3(
     included."""
 
     def friendship(g: Graph) -> Optional[str]:
-        if n % 2 and canonical_form(g) == canonical_form(make_snk(n, n // 2)):
-            return EQ_FRIENDSHIP
-        return None
+        p = snk_params(g)
+        return EQ_FRIENDSHIP if p is not None and p.n == n == 2 * p.k + 1 else None
 
     graphs = enumerate_c4free_by_order(n, workers, cap_override)
     return _fold(_Check("in3", {"n": n}, graphs, lambda mu: mu * mu - mu, float(n - 1), friendship), sink)

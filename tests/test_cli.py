@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -13,10 +15,13 @@ from pathlib import Path
 import pytest
 
 import c4free
-from c4free import graph6, spectral
-from c4free.cli import COMMANDS, _RecordWriter, emit_certificate, main
+from c4free import enumeration, graph6, search, spectral
+from c4free.cli import COMMANDS, _finish, _RecordWriter, main
 from c4free.spectral import spectral_radius
-from c4free.verify import VerificationRecord
+from c4free.verify import VerificationRecord, VerifySummary, ViolationCertificate
+
+
+CSV_HEADER = ["graph6", "n", "m", "mu", "bound", "slack", "classification"]
 
 
 def run(capsys, *argv):
@@ -197,23 +202,131 @@ def test_workers_below_one_rejected(command, workers, capsys):
     assert captured.out == ""
 
 
+def _file_flags(command):
+    return [f"--{key}" for key in ("output", "certificate") if key in COMMANDS[command].shared]
+
+
+def _earlier_files(tmp_path, command):
+    """An existing file for each file flag of command: the flags, and each
+    file's contents by path."""
+    argv, contents = [], {}
+    for flag in _file_flags(command):
+        path = tmp_path / f"earlier{flag}"
+        contents[path] = f"earlier {flag}\n"
+        path.write_text(contents[path])
+        argv += [flag, str(path)]
+    return argv, contents
+
+
+def _assert_as_they_were(tmp_path, contents):
+    assert {path: path.read_text() for path in contents} == contents
+    assert sorted(os.listdir(tmp_path)) == sorted(path.name for path in contents)  # no .part file left
+
+
 # commands that fail an argument check before their first record
 FAILED_CHECKS = [
     ["verify-th1", "--m", "9", "--workers", "0", "--format", "csv"],
     ["verify-th1", "--m", "17", "--format", "csv"],
     ["verify-th1", "--m", "5"],
+    ["verify-in3", "--n", "11"],
     ["enumerate", "--m", "17"],
     ["enumerate", "--n", "3", "--workers", "0"],
+    ["search", "--m", "5", "--restarts", "0"],
 ]
 
 
 @pytest.mark.parametrize("argv", FAILED_CHECKS, ids=" ".join)
 def test_failed_check_leaves_output_as_it_was(argv, tmp_path, capsys):
-    out = tmp_path / "earlier"
-    out.write_text("earlier contents\n")
-    assert main([*argv, "--output", str(out)]) == 1
+    files, contents = _earlier_files(tmp_path, argv[0])
+    assert main([*argv, *files]) == 1
     assert capsys.readouterr().err.startswith("error: ")
-    assert out.read_text() == "earlier contents\n"
+    _assert_as_they_were(tmp_path, contents)
+
+
+@pytest.mark.parametrize("argv", [["verify-th1", "--m", "9", "--format", "csv"], ["search", "--m", "14"]], ids=" ".join)
+def test_mid_run_error_leaves_outputs_as_they_were(argv, tmp_path, monkeypatch, capsys):
+    # every solve fails its residual test once the tolerance is 0, after
+    # the first records have gone to the output
+    monkeypatch.setattr(spectral, "DEFAULT_TOL", 0.0)
+    files, contents = _earlier_files(tmp_path, argv[0])
+    assert main([*argv, *files]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: residual") and captured.out == ""
+    _assert_as_they_were(tmp_path, contents)
+
+
+# one run of every command that writes a file; the work it would do is
+# never started when a file flag names an unusable target
+FILE_RUNS = {
+    "verify-th1": ["--m", "11"],
+    "verify-th2": ["--m", "11"],
+    "verify-small-m": ["--m", "8"],
+    "verify-in3": ["--n", "8"],
+    "verify-conjecture": ["--n", "8"],
+    "verify-k2k1": ["--n", "7", "--k", "2"],
+    "enumerate": ["--m", "11"],
+    "search": ["--m", "14", "--restarts", "4"],
+}
+
+
+def test_file_runs_cover_the_table():
+    assert set(FILE_RUNS) == {
+        name for name, cmd in COMMANDS.items() if {"output", "certificate"} & set(cmd.shared)
+    }
+
+
+def _unusable(kind, tmp_path):
+    if kind == "missing directory":
+        return tmp_path / "missing" / "x"
+    if kind == "directory":
+        return tmp_path
+    if kind == "device":
+        return Path(os.devnull)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    return fifo
+
+
+@pytest.mark.parametrize("kind", ["missing directory", "directory", "device", "pipe"])
+@pytest.mark.parametrize("command, flag", [(c, f) for c in sorted(FILE_RUNS) for f in _file_flags(c)])
+def test_unusable_path_fails_before_the_work(command, flag, kind, tmp_path, monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("the work started")
+
+    monkeypatch.setattr(enumeration, "_levels", never)
+    monkeypatch.setattr(search, "_climb_once", never)
+    target = _unusable(kind, tmp_path)
+    before = sorted(os.listdir(tmp_path))
+    assert main([command, *FILE_RUNS[command], flag, str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert sorted(os.listdir(tmp_path)) == before
+    assert not os.path.exists(f"{target}.{os.getpid()}.part")
+    if kind == "pipe":
+        assert stat.S_ISFIFO(os.stat(target).st_mode)
+
+
+def test_outputs_write_through_a_symlink(tmp_path, capsys):
+    target, link, direct = tmp_path / "records.csv", tmp_path / "link.csv", tmp_path / "direct.csv"
+    target.write_text("earlier\n")
+    link.symlink_to(target)
+    for path in (link, direct):
+        assert main(["verify-in3", "--n", "4", "--format", "csv", "--output", str(path)]) == 0
+    assert link.is_symlink() and target.read_bytes() == direct.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["direct.csv", "link.csv", "records.csv"]
+
+
+def test_output_file_modes(tmp_path, capsys):
+    # a new file gets the mode open(path, "w") gives; an existing one keeps its own
+    reference, new, kept = tmp_path / "reference", tmp_path / "new.g6", tmp_path / "kept.json"
+    open(reference, "w").close()
+    kept.write_text("earlier\n")
+    kept.chmod(0o600)
+    assert main(["enumerate", "--m", "3", "--output", str(new)]) == 0
+    assert main(["verify-in3", "--n", "3", "--certificate", str(kept)]) == 0
+    assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o600
+    assert json.loads(kept.read_text())["summary"]["count"] == 4
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
@@ -233,17 +346,19 @@ def test_verify_th2_flags_extra_equalities(capsys):
     assert len(payload["findings"]) == 2
 
 
-def test_injected_violation_record(tmp_path):
+def test_injected_violation_record(tmp_path, capsys):
     # violation serialization path, exercised with a fabricated record
     fake = VerificationRecord("D?{", 5, 4, 9.9, 2.0, -7.9, "VIOLATION")
-    writer = _RecordWriter(str(tmp_path / "v.jsonl"), "json")
-    writer(fake)
-    writer.close()
+    with open(tmp_path / "v.jsonl", "w") as fh:
+        _RecordWriter(fh, "json")(fake)
     rec = json.loads((tmp_path / "v.jsonl").read_text())
     assert rec["classification"] == "VIOLATION" and rec["slack"] == -7.9
 
-    emit_certificate(str(tmp_path / "v.json"), {"record": rec})
-    assert json.loads((tmp_path / "v.json").read_text())["record"]["mu"] == 9.9
+    summary = VerifySummary("theorem1", {"m": 4}, count=1, violations=[ViolationCertificate(fake, [0.5, 0.5])])
+    with open(tmp_path / "v.json", "w") as fh:
+        assert _finish(argparse.Namespace(certificate=fh), summary) == 2
+    (violation,) = json.loads((tmp_path / "v.json").read_text())["summary"]["violations"]
+    assert violation["record"]["mu"] == 9.9 and violation["eigenvector"] == [0.5, 0.5]
 
 
 def test_csv_header(tmp_path, capsys):
@@ -251,7 +366,7 @@ def test_csv_header(tmp_path, capsys):
     run(capsys, "verify-in3", "--n", "4", "--output", str(out), "--format", "csv")
     with open(out) as fh:
         header = next(csv.reader(fh))
-    assert header == ["graph6", "n", "m", "mu", "bound", "slack", "classification"]
+    assert header == CSV_HEADER
 
 
 def test_graph6_lines_records(tmp_path, capsys):

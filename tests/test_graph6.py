@@ -44,6 +44,35 @@ def test_bad_input():
         graph6.decode("D")  # truncated body
 
 
+@pytest.mark.parametrize("s", ["~", "~?", "~??", "~~", "~~?", "~~?????"])
+def test_truncated_size_header(s):
+    # a long-form size header needs all of its 3 or 6 digits
+    with pytest.raises(GraphError, match="truncated graph6 size header"):
+        graph6.decode(s)
+
+
+@pytest.mark.parametrize("s", ["!", "~?!?", "~~?????!"])
+def test_size_header_out_of_range(s):
+    with pytest.raises(GraphError, match="invalid graph6 character"):
+        graph6.decode(s)
+
+
+@pytest.mark.parametrize("n", [63, 100])
+def test_roundtrip_long_form(n):
+    g = Graph.from_edges(n, [(0, n - 1), (1, 2), (5, 62)])
+    s = graph6.encode(g)
+    assert s.startswith("~") and not s.startswith("~~")
+    assert graph6.decode(s) == g
+    assert sorted(nx.from_graph6_bytes(s.encode()).edges()) == sorted(g.edges())
+
+
+def test_decode_n_six_digit_header():
+    # n = 258048 is the first order that needs the "~~" form
+    assert graph6._encode_n(258048) == "~~???~??"
+    assert graph6._decode_n("~~???~??rest") == (258048, "rest")
+    assert graph6._decode_n("~~??????") == (0, "")
+
+
 @given(st.integers(0, 14), st.integers(0, 2**105 - 1))
 @settings(max_examples=200, deadline=None)
 def test_roundtrip_property(n, mask):

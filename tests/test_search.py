@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from c4free import search, spectral
+from c4free import graph6, search, spectral
 from c4free.canon import canonical_form
 from c4free.graph import Graph, GraphError, adding_edge_creates_c4, make_snk, make_star
 from c4free.search import (
@@ -270,6 +270,18 @@ class TestClaims:
         assert g.m == 22
         assert claim1_check(g, 3, 20)
         assert claim1_check(g, 1, 2)  # the matched leaf pair
+
+    def test_claim1_fails_on_the_tadpole(self):
+        # the stated hypotheses hold, yet the claim does not: a triangle
+        # with an 11-edge path, far below mu = 2 + sqrt(3)
+        g = graph6.decode("M{CGGC@?G?_@?@??_")
+        assert (g.m, g.is_connected(), g.has_c4()) == (14, True, False)
+        assert (g.degree(1), g.degree(2), g.has_edge(1, 2)) == (2, 2, True)
+        r = spectral_radius(g)
+        assert r.mu == pytest.approx(2.2361, abs=1e-4)
+        assert r.vec[1] * r.vec[2] == pytest.approx(0.2236, abs=1e-4)
+        assert 1 / (4 * r.mu) == pytest.approx(0.1118, abs=1e-4)
+        assert not claim1_check(g, 1, 2)
 
     def test_claim1_precondition_errors(self):
         g = _claim1_instance(12)
