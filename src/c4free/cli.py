@@ -245,18 +245,27 @@ def build_parser() -> argparse.ArgumentParser:
 def _open_outputs(args, parts: list) -> None:
     """Replaces each --output and --certificate path of args by an open file
     `<target>.<pid>.part` and appends (file, target) to parts. Refuses, before
-    any work, what open(path, "w") refuses and an existing target that is not
-    a regular file (a device, a pipe). Writes through a symlink."""
+    any work, two flags naming one target, what open(path, "w") refuses and
+    an existing target that is not a regular file (a device, a pipe), naming
+    the path as given. Writes through a symlink."""
+    flags = {}  # target -> flag
     for key in ("output", "certificate"):
         path = getattr(args, key, None)
-        if not path:
-            continue
-        real = os.path.realpath(path)
-        if os.path.exists(real):
-            if not os.path.isfile(real):
-                raise OSError(f"not a regular file: {path}")
-            open(real, "a").close()  # the write access open(path, "w") needs
-        fh = open(f"{real}.{os.getpid()}.part", "x", newline="")
+        if path:
+            real = os.path.realpath(path)
+            if real in flags:
+                raise ValueError(f"--{flags[real]} and --{key} name the same file: {path}")
+            flags[real] = key
+    for real, key in flags.items():
+        path = getattr(args, key)
+        if os.path.exists(real) and not os.path.isfile(real):
+            raise OSError(f"not a regular file: {path}")
+        try:
+            if os.path.isfile(real):
+                open(real, "a").close()  # the write access open(path, "w") needs
+            fh = open(f"{real}.{os.getpid()}.part", "x", newline="")
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
         parts.append((fh, real))
         if os.path.isfile(real):  # keep its mode, as open(path, "w") does
             os.chmod(fh.fileno(), os.stat(real).st_mode & 0o7777)

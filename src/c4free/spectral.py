@@ -3,8 +3,11 @@ Perron root computation and the closed-form spectral radius of S_{n,k}.
 
 Every eigensolve goes through one core, `_top_pairs`: a dense symmetric
 eigensolve (LAPACK, through numpy.linalg.eigh) of a stack of matrices, with
-the residual of each top eigenpair held to DEFAULT_TOL. `spectral_radius`
-solves each connected component of a graph as a stack of one.
+the residual of each top eigenpair held to DEFAULT_TOL.
+`spectral_radius_stream` solves the graphs of a stream by components: it
+reads a block of graphs ahead, solves each distinct component of the block
+once, stacking the components of one order, and assembles each graph's
+result from its components; `spectral_radius` is its one-graph case.
 `spectral_radii` solves a stack of whole adjacency matrices: the top
 eigenvalue of a graph's adjacency matrix is its spectral radius
 (Perron-Frobenius), so mu alone needs no split into components.
@@ -16,14 +19,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .graph import Graph, SnkParams
+from .graph import Graph, SnkParams, _bits
 
 DEFAULT_TOL = 1e-12
 
 RADII_CHUNK = 64  # matrices per stacked eigensolve; bounds its working memory
+
+STREAM_BLOCK = 512  # graphs read ahead by spectral_radius_stream; bounds its cache
 
 INV_SQRT2 = 2.0 ** -0.5
 
@@ -37,7 +44,7 @@ class SpectralResult:
     mu: float
     vec: np.ndarray
     residual: float  # largest over the solved components
-    iters: int  # dense eigensolves, one per component with an edge
+    iters: int  # components with an edge, each solved as one matrix
 
 
 def to_numpy(g: Graph) -> np.ndarray:
@@ -76,39 +83,85 @@ def _top_pairs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def spectral_radius(g: Graph) -> SpectralResult:
-    """Largest adjacency eigenvalue with nonnegative unit eigenvector.
+    """Largest adjacency eigenvalue with nonnegative unit eigenvector: the
+    one-graph case of `spectral_radius_stream`."""
+    return next(spectral_radius_stream([g]))[1]
 
-    Each component with an edge is solved once, as a stack of one matrix;
-    the returned vector is supported on a component achieving the maximum
-    and zero elsewhere, and the residual is the largest over the solved
-    components.
+
+def spectral_radius_stream(graphs: Iterable[Graph]) -> Iterator[tuple[Graph, SpectralResult]]:
+    """(graph, its SpectralResult) for each graph of a stream, in order.
+
+    The stream is read STREAM_BLOCK graphs ahead. Each component of two or
+    more vertices is keyed by its bitrows relabelled 0..k-1 in vertex order,
+    and each distinct key of a block is solved once, the keys of one order
+    stacked through `_top_pairs`. A graph's vector is supported on the first
+    component achieving the maximum and zero elsewhere; its residual is the
+    largest over its components and `iters` counts its components with an
+    edge. The cache lives for one block only, so memory does not grow with
+    the stream.
     """
-    if g.n < 1:
-        raise ValueError("graph must have at least one vertex")
-    a = to_numpy(g)
-    best_mu = -1.0
-    best: tuple[np.ndarray, list[int]] | None = None
-    residual = 0.0
-    solves = 0
-    for comp in g.components():
-        if len(comp) == 1:
-            mu, vec = 0.0, np.ones(1)
-        else:
-            idx = np.array(comp)
-            mus, vecs, res = _top_pairs(a[idx[:, None], idx][None])
+    it = iter(graphs)
+    while block := list(islice(it, STREAM_BLOCK)):
+        yield from zip(block, _solve_block(block))
+
+
+def _solve_block(block: list[Graph]) -> list[SpectralResult]:
+    """The SpectralResult of each graph of a block, from one solve per
+    distinct component."""
+    pieces = []  # per graph: (vertices, key) per component, key None for K_1
+    keys: dict[tuple[int, ...], None] = {}  # distinct keys, in first-seen order
+    for g in block:
+        if g.n < 1:
+            raise ValueError("graph must have at least one vertex")
+        comps = []
+        for comp in g.components():
+            key = None
+            if len(comp) > 1:
+                lo = comp[0]
+                if comp[-1] - lo + 1 == len(comp):  # a run of vertices: relabelling is a shift
+                    key = tuple(g.rows[v] >> lo for v in comp)
+                else:
+                    pos = {v: i for i, v in enumerate(comp)}
+                    key = tuple(sum(1 << pos[u] for u in _bits(g.rows[v])) for v in comp)
+                keys[key] = None
+            comps.append((comp, key))
+        pieces.append(comps)
+    by_order: dict[int, list[tuple[int, ...]]] = {}
+    for key in keys:
+        by_order.setdefault(len(key), []).append(key)
+    solved = {}  # key -> (mu, Perron vector, residual)
+    for k, same in by_order.items():
+        # each key's rows as 0/1 matrix rows: bit j of row i is entry (i, j)
+        nbytes = (k + 7) // 8
+        raw = b"".join(row.to_bytes(nbytes, "little") for key in same for row in key)
+        rows = np.frombuffer(raw, np.uint8).reshape(len(same), k, nbytes)
+        mus, vecs, res = _top_pairs(np.unpackbits(rows, axis=2, count=k, bitorder="little"))
+        for b, key in enumerate(same):
             # the Perron vector of a connected component has one sign
-            mu, vec = float(mus[0]), np.abs(vecs[0])
-            residual = max(residual, float(res[0]))
-            solves += 1
-        if mu > best_mu:
-            best_mu = mu
-            best = (vec, comp)
-    assert best is not None
-    vec, comp = best
-    full = np.zeros(g.n)
-    full[comp] = vec
-    full /= np.linalg.norm(full)
-    return SpectralResult(mu=best_mu, vec=full, residual=residual, iters=solves)
+            solved[key] = (float(mus[b]), np.abs(vecs[b]), float(res[b]))
+    out = []
+    for g, comps in zip(block, pieces):
+        best_mu = -1.0
+        best: tuple[np.ndarray, list[int]] | None = None
+        residual = 0.0
+        solves = 0
+        for comp, key in comps:
+            if key is None:
+                mu, vec = 0.0, np.ones(1)
+            else:
+                mu, vec, r = solved[key]
+                residual = max(residual, r)
+                solves += 1
+            if mu > best_mu:
+                best_mu = mu
+                best = (vec, comp)
+        assert best is not None
+        vec, comp = best
+        full = np.zeros(g.n)
+        full[comp] = vec
+        full /= np.linalg.norm(full)
+        out.append(SpectralResult(mu=best_mu, vec=full, residual=residual, iters=solves))
+    return out
 
 
 def spectral_radii(stack: np.ndarray) -> np.ndarray:

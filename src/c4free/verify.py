@@ -4,10 +4,12 @@ Fold bound checks over enumeration streams and classify equality cases.
 Every check is a spec (`_Check`: the stream, the quantity of mu that is
 checked, its bound, the equality classifier and the expected equality
 classes) run by one fold, `_fold`. Each graph in a stream yields a
-VerificationRecord from one eigensolve, whose residual is held to
-`spectral.DEFAULT_TOL` (1e-12); a violation is only reported when that
-residual is also within `DEFAULT_TOL / 10`, and equality is only claimed
-when one isomorphism test against S_{n,k} confirms the float coincidence.
+VerificationRecord from `spectral.spectral_radius_stream`, which solves
+each distinct component of a block of graphs once, stacked by order, with
+its residual held to `spectral.DEFAULT_TOL` (1e-12); a violation is only
+reported when the graph's residual is also within `DEFAULT_TOL / 10`, and
+equality is only claimed when one isomorphism test against S_{n,k}
+confirms the float coincidence.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .enumeration import (
     enumerate_kfree_by_order,
 )
 from .graph import Graph, SnkParams, make_snk
-from .spectral import spectral_radius
+from .spectral import spectral_radius_stream
 
 EQ_TOL = 1e-9
 
@@ -125,8 +127,7 @@ def _fold(spec: _Check, sink: RecordSink) -> VerifySummary:
     """Compare spec.quantity(mu) <= spec.bound for every graph, classify,
     aggregate into one summary."""
     summary = VerifySummary(spec.check, spec.param)
-    for g in spec.graphs:
-        r = spectral_radius(g)
+    for g, r in spectral_radius_stream(spec.graphs):
         slack = spec.bound - spec.quantity(r.mu)
         if slack < -EQ_TOL and spec.above == VIOLATION and r.residual > spectral.DEFAULT_TOL / 10:
             # a violation needs a residual 10x tighter than the solve's own

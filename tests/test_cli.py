@@ -243,15 +243,36 @@ def test_failed_check_leaves_output_as_it_was(argv, tmp_path, capsys):
     _assert_as_they_were(tmp_path, contents)
 
 
-@pytest.mark.parametrize("argv", [["verify-th1", "--m", "9", "--format", "csv"], ["search", "--m", "14"]], ids=" ".join)
-def test_mid_run_error_leaves_outputs_as_they_were(argv, tmp_path, monkeypatch, capsys):
-    # every solve fails its residual test once the tolerance is 0, after
-    # the first records have gone to the output
-    monkeypatch.setattr(spectral, "DEFAULT_TOL", 0.0)
+# a mid-run failure and the fewest records written before it
+MID_RUN = [(["verify-th1", "--m", "9", "--format", "csv"], 1), (["search", "--m", "14"], 0)]
+
+
+@pytest.mark.parametrize("argv, least", [pytest.param(argv, least, id=" ".join(argv)) for argv, least in MID_RUN])
+def test_mid_run_error_leaves_outputs_as_they_were(argv, least, tmp_path, monkeypatch, capsys):
+    # every solve fails its residual test once the tolerance is 0, from the
+    # second block of graphs on: after the first block's records (863 of
+    # them make two blocks) have gone to the output, and after search's
+    # first climb step
+    solve_block, blocks, written = spectral._solve_block, [], []
+
+    def later_blocks_fail(block):
+        blocks.append(block)
+        if len(blocks) > 1:
+            monkeypatch.setattr(spectral, "DEFAULT_TOL", 0.0)
+        return solve_block(block)
+
+    def counting(writer, rec):
+        written.append(rec)
+        return write(writer, rec)
+
+    write = _RecordWriter.__call__
+    monkeypatch.setattr(spectral, "_solve_block", later_blocks_fail)
+    monkeypatch.setattr(_RecordWriter, "__call__", counting)
     files, contents = _earlier_files(tmp_path, argv[0])
     assert main([*argv, *files]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: residual") and captured.out == ""
+    assert len(blocks) == 2 and len(written) >= least
     _assert_as_they_were(tmp_path, contents)
 
 
@@ -300,10 +321,30 @@ def test_unusable_path_fails_before_the_work(command, flag, kind, tmp_path, monk
     assert main([command, *FILE_RUNS[command], flag, str(target)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+    # named as given, not as the part file
+    assert str(target) in captured.err and ".part" not in captured.err
     assert sorted(os.listdir(tmp_path)) == before
     assert not os.path.exists(f"{target}.{os.getpid()}.part")
     if kind == "pipe":
         assert stat.S_ISFIFO(os.stat(target).st_mode)
+
+
+@pytest.mark.parametrize("through", ["same path", "symlink"])
+@pytest.mark.parametrize("command", sorted(c for c in FILE_RUNS if len(_file_flags(c)) > 1))
+def test_two_flags_naming_one_file_fail_before_the_work(command, through, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(enumeration, "_levels", lambda *args: pytest.fail("the work started"))
+    target = tmp_path / "same.json"
+    target.write_text("earlier\n")
+    other = target
+    if through == "symlink":
+        other = tmp_path / "link.json"
+        other.symlink_to(target)
+    before = sorted(os.listdir(tmp_path))
+    assert main([command, *FILE_RUNS[command], "--output", str(other), "--certificate", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --output and --certificate name the same file: {target}\n"
+    assert sorted(os.listdir(tmp_path)) == before and target.read_text() == "earlier\n"
 
 
 def test_outputs_write_through_a_symlink(tmp_path, capsys):

@@ -93,8 +93,15 @@ def test_traced_enumerate_by_order_counts(tmp_path):
     assert layers["canon.calls"] == layers["enumeration.children"] + 1
 
 
-def test_traced_k2k1_counts(tmp_path):
-    stdout, payload = _traced(["verify-k2k1", "--n", "5", "--k", "2"], tmp_path)
+@pytest.mark.parametrize(
+    "command",
+    [["verify-k2k1", "--n", "5", "--k", "2"], ["verify-th1", "--m", "9"], ["verify-in3", "--n", "7"]],
+    ids=" ".join,
+)
+def test_traced_fold_counts(command, tmp_path):
+    # the fold reads its stream a block of graphs ahead; the tracer still
+    # counts each class once, as a record of the fold
+    stdout, payload = _traced(command, tmp_path)
     layers = payload["layers"]
     assert layers["enumeration.classes"] == json.loads(stdout)["count"] == layers["verify.records"]
 

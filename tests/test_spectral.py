@@ -6,8 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from c4free import spectral
+from c4free import spectral, verify
 from c4free._kernels import power_iteration
+from c4free.enumeration import enumerate_c4free_by_edges, enumerate_c4free_by_order, enumerate_kfree_by_order
 from c4free.graph import Graph, make_friendship, make_snk, make_star
 from c4free.search import _candidate_stack, propose_moves, random_c4free_graph
 from c4free.spectral import (
@@ -19,10 +20,12 @@ from c4free.spectral import (
     snk_mu,
     spectral_radii,
     spectral_radius,
+    spectral_radius_stream,
     to_numpy,
     xmin,
 )
 from conftest import random_connected_graph, random_graph
+from spectral_reference import reference_spectral_radius
 
 
 def eig_oracle(g: Graph) -> float:
@@ -110,6 +113,83 @@ class TestSpectralRadius:
         monkeypatch.setattr(spectral, "DEFAULT_TOL", 1e-300)
         with pytest.raises(ConvergenceError):
             spectral_radius(make_star(10))
+
+
+def interleaved_graph(rng: random.Random) -> Graph:
+    """A disjoint union of random connected pieces, some of them repeated,
+    with its vertices shuffled so that a component need not be a contiguous
+    run of vertices."""
+    pieces = [random_connected_graph(rng, rng.randint(1, 6), rng.randint(0, 3)) for _ in range(rng.randint(1, 4))]
+    pieces += rng.sample(pieces, rng.randint(0, len(pieces)))
+    edges, n = [], 0
+    for h in pieces:
+        edges += [(n + u, n + v) for u, v in h.edges()]
+        n += h.n
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, edges).relabel(tuple(perm))
+
+
+def assert_same_results(graphs):
+    """The stream yields each graph with the reference loop's result, bit
+    for bit."""
+    graphs = list(graphs)
+    out = list(spectral_radius_stream(graphs))
+    assert [g for g, _ in out] == graphs
+    for g, r in out:
+        ref = reference_spectral_radius(g)
+        assert (r.mu, r.residual, r.iters) == (ref.mu, ref.residual, ref.iters), g
+        assert r.vec.dtype == ref.vec.dtype and r.vec.tobytes() == ref.vec.tobytes(), g
+
+
+class TestStream:
+    @pytest.mark.parametrize(
+        "stream",
+        [
+            lambda: enumerate_c4free_by_edges(10),
+            lambda: enumerate_c4free_by_order(8),
+            lambda: enumerate_kfree_by_order(7, 2),
+        ],
+        ids=["enumerate --m 10", "enumerate --n 8", "K_{2,3}-free --n 7"],
+    )
+    def test_matches_reference_on_streams(self, stream):
+        assert_same_results(stream())
+
+    def test_matches_reference_on_interleaved_components(self):
+        # more than two blocks, with components repeated within and across graphs
+        rng = random.Random(20261020)
+        graphs = [interleaved_graph(rng) for _ in range(2 * spectral.STREAM_BLOCK + 7)]
+        assert any(c != list(range(c[0], c[-1] + 1)) for g in graphs for c in g.components())
+        assert_same_results(graphs)
+
+    def test_spectral_radius_is_the_one_graph_stream(self, rng):
+        for _ in range(50):
+            g = interleaved_graph(rng)
+            r, ref = spectral_radius(g), reference_spectral_radius(g)
+            assert (r.mu, r.residual, r.iters, r.vec.tobytes()) == (ref.mu, ref.residual, ref.iters, ref.vec.tobytes())
+
+    def test_solves_each_distinct_component_once_per_block(self, monkeypatch):
+        # one graph solved one component at a time made 1,773 calls
+        calls = []
+        top_pairs = spectral._top_pairs
+
+        def counting(stack):
+            calls.append(len(stack))
+            return top_pairs(stack)
+
+        monkeypatch.setattr(spectral, "_top_pairs", counting)
+        assert verify.verify_theorem1(9).count == 863
+        assert len(calls) <= 20
+        assert sum(calls) < 863
+
+    def test_empty_stream(self):
+        assert list(spectral_radius_stream([])) == []
+
+    def test_no_vertices(self):
+        with pytest.raises(ValueError):
+            spectral_radius(Graph.empty(0))
+        with pytest.raises(ValueError):
+            list(spectral_radius_stream([make_star(3), Graph.empty(0)]))
 
 
 @pytest.fixture(scope="module")

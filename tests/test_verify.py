@@ -9,7 +9,7 @@ import pytest
 from c4free import graph6, spectral, verify
 from c4free.canon import canonical_form
 from c4free.graph import Graph, SnkParams, make_friendship, make_snk, make_star
-from c4free.spectral import ConvergenceError, snk_mu, spectral_radius
+from c4free.spectral import ConvergenceError, snk_mu, spectral_radius_stream
 from c4free.verify import (
     EQ_FRIENDSHIP,
     EQ_S91,
@@ -107,20 +107,22 @@ class TestViolation:
     SPEC = _Check("t", {}, [make_star(5)], lambda mu: mu, 1.0, None)
 
     def _fold_with_residual(self, monkeypatch, residual):
-        def solve(g):
-            return dataclasses.replace(spectral_radius(g), residual=residual)
+        def solve(graphs):
+            for g, r in spectral_radius_stream(graphs):
+                yield g, dataclasses.replace(r, residual=residual)
 
-        monkeypatch.setattr(verify, "spectral_radius", solve)
+        monkeypatch.setattr(verify, "spectral_radius_stream", solve)
         return _fold(self.SPEC, None)
 
     def test_one_solve_per_graph(self, monkeypatch):
         calls = []
 
-        def counting(g, *args):
-            calls.append(g)
-            return spectral_radius(g, *args)
+        def counting(graphs):
+            for g, r in spectral_radius_stream(graphs):
+                calls.append(g)
+                yield g, r
 
-        monkeypatch.setattr(verify, "spectral_radius", counting)
+        monkeypatch.setattr(verify, "spectral_radius_stream", counting)
         s = _fold(self.SPEC, None)
         assert len(calls) == 1
         assert not s.ok
