@@ -36,7 +36,6 @@ canonical form), the connected classes last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from operator import getitem
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple, TypeVar
@@ -56,37 +55,24 @@ class CapExceeded(ValueError):
     """Requested size is beyond the desk-scale cap and no override was given."""
 
 
-@dataclass(frozen=True)
-class EnumSpec:
-    mode: str  # "by-edges" or "by-order"
-    size: int
-    k: int = 1  # forbid K_{2,k+1}; k=1 is C4-free
-    cap_override: bool = False
-    workers: int = 1
-
-    def validate(self) -> None:
-        if self.mode not in ("by-edges", "by-order"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.size < 1:
-            raise ValueError("size must be >= 1")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.workers < 1:
-            raise ValueError("need workers >= 1")
-        if not self.cap_override:
-            cap = MAX_EDGES if self.mode == "by-edges" else MAX_ORDER
-            if self.size > cap:
-                raise CapExceeded(
-                    f"{self.mode} size {self.size} exceeds cap {cap}; "
-                    "pass cap_override (CLI: --force) to proceed"
-                )
+def _check_request(what: str, size: int, cap: int, k: int, workers: int, cap_override: bool) -> None:
+    """Refuses a size, k or worker count below 1, then a size above cap
+    unless cap_override; what names the stream in the cap message."""
+    if size < 1:
+        raise ValueError("size must be >= 1")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if workers < 1:
+        raise ValueError("need workers >= 1")
+    if size > cap and not cap_override:
+        raise CapExceeded(f"{what} size {size} exceeds cap {cap}; pass cap_override (CLI: --force) to proceed")
 
 
 def enumerate_c4free_by_edges(m: int, workers: int = 1, cap_override: bool = False) -> Iterator[Graph]:
     """One representative per isomorphism class of C4-free graphs with m
     edges and no isolated vertices, in the deterministic order of the
     composer (see the module docstring)."""
-    EnumSpec("by-edges", m, 1, cap_override, workers).validate()
+    _check_request("by-edges", m, MAX_EDGES, 1, workers, cap_override)
     levels = islice(_levels(1, m + 1, workers), 1, m + 1)
     yield from _unions(_pieces(levels, lambda g: g.m), m)
 
@@ -104,7 +90,7 @@ def enumerate_kfree_by_order(
 ) -> Iterator[Graph]:
     """One representative per isomorphism class of K_{2,k+1}-free graphs on
     exactly n vertices, in the order of enumerate_c4free_by_order."""
-    EnumSpec("by-order", n, k, cap_override, workers).validate()
+    _check_request("by-order", n, MAX_ORDER, k, workers, cap_override)
     yield from _unions(_pieces(_levels(k, n, workers), lambda g: g.n), n)
 
 

@@ -271,6 +271,7 @@ def hill_climb(
     if workers < 1:
         raise ValueError("need workers >= 1")
     seeds = [seed * 1_000_003 + i for i in range(restarts)]
+    workers = min(workers, restarts)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -204,8 +204,6 @@ def snk_mu(n: int, k: int) -> float:
     """mu(S_{n,k}) as the largest root of x^3 - x^2 - (n-1)x + n-1-2k,
     by bisection on [xmin(n), n]."""
     p = SnkParams(n, k)
-    if n < 2:
-        raise ValueError("need n >= 2")
     _, f = snk_cubic(p.n, p.k)
     lo, hi = xmin(n), float(n)
     if f(lo) >= 0.0:

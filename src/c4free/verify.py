@@ -148,6 +148,8 @@ def _fold(spec: _Check, sink: RecordSink) -> VerifySummary:
             summary.equalities.append(rec)
             if cls == EQ_UNEXPLAINED:
                 summary.findings.append(f"equality at {rec.graph_id} matches no expected structure")
+            elif spec.expected is not None and cls not in spec.expected:
+                summary.findings.append(f"unexpected equality class {cls} at {rec.graph_id}")
         summary.count += 1
         if r.mu > summary.max_mu:
             summary.max_mu = r.mu
@@ -155,10 +157,6 @@ def _fold(spec: _Check, sink: RecordSink) -> VerifySummary:
         summary.min_slack = min(summary.min_slack, slack)
         if sink:
             sink(rec)
-    if spec.expected is not None:
-        for rec in summary.equalities:
-            if rec.classification not in spec.expected:
-                summary.findings.append(f"unexpected equality class {rec.classification} at {rec.graph_id}")
     return summary
 
 
@@ -256,12 +254,7 @@ def verify_k2k1(
     """
 
     def k_common(g: Graph) -> Optional[str]:
-        h = g.strip_isolated()
-        if h.n != n or h.n < 2:
-            return None
-        if all(
-            h.common_neighbors(u, v) == k for u in range(h.n) for v in range(u + 1, h.n)
-        ):
+        if all(g.common_neighbors(u, v) == k for u in range(g.n) for v in range(u + 1, g.n)):
             return "equality-k-common"
         return None
 

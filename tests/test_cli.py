@@ -384,7 +384,19 @@ def test_verify_th2_flags_extra_equalities(capsys):
     code, out = run(capsys, "verify-th2", "--m", "9")
     assert code == 2
     payload = json.loads(out)
-    assert len(payload["findings"]) == 2
+    assert payload["findings"] == [
+        "unexpected equality class equality-friendship at F{eCG",
+        "unexpected equality class equality-snk at G{eCC?",
+    ]
+
+
+@pytest.mark.parametrize("k", ["1", "2"])
+def test_verify_k2k1_order_one(capsys, k):
+    # K_1 has no vertex pair and meets the bound: mu = 0 = k(n - 1)
+    code, out = run(capsys, "verify-k2k1", "--n", "1", "--k", k)
+    payload = json.loads(out)
+    assert (code, payload["count"], payload["findings"]) == (0, 1, [])
+    assert [(r["graph_id"], r["classification"]) for r in payload["equalities"]] == [("@", "equality-k-common")]
 
 
 def test_injected_violation_record(tmp_path, capsys):

@@ -28,8 +28,10 @@ from networkx.generators.atlas import graph_atlas_g
 from c4free import graph6
 from c4free.canon import canonical_form
 from c4free.enumeration import (
+    MAX_EDGES,
+    MAX_ORDER,
     CapExceeded,
-    EnumSpec,
+    _check_request,
     _extend_by_edges,
     _extend_fixed_order,
     _levels,
@@ -215,12 +217,47 @@ class TestByOrder:
             list(enumerate_c4free_by_order(11))
 
     def test_cap_override(self):
-        spec = EnumSpec("by-order", 11, cap_override=True)
-        spec.validate()
+        _check_request("by-order", 11, MAX_ORDER, 1, 1, True)
+        with pytest.raises(CapExceeded):
+            _check_request("by-order", 11, MAX_ORDER, 1, 1, False)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_orbit_count(self, n):
         assert orbit_sum(enumerate_c4free_by_order(n), n) == labelled_count(n, 1) == LABELLED_C4FREE[n - 1]
+
+
+_STREAMS = {
+    "by-edges": lambda size, k, workers: enumerate_c4free_by_edges(size, workers),
+    "by-order": lambda size, k, workers: enumerate_kfree_by_order(size, k, workers),
+}
+
+
+@pytest.mark.parametrize(
+    "what, size, k, workers, message",
+    [
+        ("by-edges", 0, 1, 0, "size must be >= 1"),
+        ("by-edges", 17, 1, 0, "need workers >= 1"),
+        ("by-edges", 17, 1, 1, "by-edges size 17 exceeds cap 16; pass cap_override (CLI: --force) to proceed"),
+        ("by-order", 0, 0, 0, "size must be >= 1"),
+        ("by-order", 11, 0, 0, "k must be >= 1"),
+        ("by-order", 11, 1, 0, "need workers >= 1"),
+        ("by-order", 11, 1, 1, "by-order size 11 exceeds cap 10; pass cap_override (CLI: --force) to proceed"),
+    ],
+)
+def test_stream_refusals(what, size, k, workers, message):
+    # each request fails its check and every later one, so the message also
+    # pins the order of the checks: size, k, workers, then the cap
+    with pytest.raises(ValueError) as err:
+        next(_STREAMS[what](size, k, workers))
+    assert str(err.value) == message
+    assert isinstance(err.value, CapExceeded) == message.endswith("to proceed")
+
+
+def test_by_edges_k_refused_before_workers_and_cap():
+    # the by-edges stream always asks for k = 1, so its k check is reached
+    # only here
+    with pytest.raises(ValueError, match=r"^k must be >= 1$"):
+        _check_request("by-edges", MAX_EDGES + 1, MAX_EDGES, 0, 0, False)
 
 
 def _first_child_per_class(g, k, max_n, autos):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import math
 import random
 
@@ -228,6 +229,29 @@ class TestHillClimb:
         b = hill_climb(7, restarts=2, seed=3)
         c = hill_climb(7, restarts=2, seed=3, workers=2)
         assert a.mu == b.mu == c.mu and a.moves == b.moves == c.moves
+
+    @pytest.mark.parametrize("restarts, pools", [(2, [2]), (1, [])])
+    def test_no_more_workers_than_restarts(self, monkeypatch, restarts, pools):
+        built = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *args):
+                return map(fn, *args)
+
+        serial = hill_climb(6, restarts=restarts, seed=1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        st = hill_climb(6, restarts=restarts, seed=1, workers=64)
+        assert built == pools
+        assert (st.mu, st.current, st.seed, st.moves) == (serial.mu, serial.current, serial.seed, serial.moves)
 
     def test_ties_keep_the_earlier_candidate(self, monkeypatch):
         g = make_star(4)

@@ -286,6 +286,10 @@ class TestSnkClosedForm:
     def test_star_case(self, n):
         assert snk_mu(n, 0) == pytest.approx(math.sqrt(n - 1), abs=1e-12)
 
+    def test_order_one_refused(self):
+        with pytest.raises(ValueError, match=r"^need n >= 2$"):
+            snk_mu(1, 0)
+
     def test_cubic_root(self):
         for n, k in [(9, 1), (12, 3), (30, 10)]:
             _, f = snk_cubic(n, k)

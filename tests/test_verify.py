@@ -15,6 +15,7 @@ from c4free.verify import (
     EQ_S91,
     EQ_SNK,
     EQ_STAR,
+    EQ_UNEXPLAINED,
     VIOLATION,
     VerificationRecord,
     _Check,
@@ -95,6 +96,22 @@ class TestTheorem1:
     def test_rejects_small_m(self):
         with pytest.raises(ValueError):
             verify_theorem1(8)
+
+    @pytest.mark.parametrize(
+        "label, finding",
+        [
+            (None, "equality at {} matches no expected structure"),
+            (EQ_UNEXPLAINED, "equality at {} matches no expected structure"),
+            ("equality-other", "unexpected equality class equality-other at {}"),
+        ],
+    )
+    def test_one_finding_per_unexpected_record(self, monkeypatch, label, finding):
+        # every record at the bound gets a class that `expected` does not
+        # list, and is judged once
+        monkeypatch.setattr(verify, "classify_equality", lambda g: label)
+        s = verify_theorem1(9, expected=frozenset({EQ_STAR}))
+        assert len(s.equalities) == 4
+        assert s.findings == [finding.format(r.graph_id) for r in s.equalities]
 
     def test_sink_called(self):
         recs = []
