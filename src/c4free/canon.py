@@ -46,24 +46,30 @@ from .graph import Graph, _bits
 Automorphism = Tuple[int, ...]  # vertex v goes to p[v]
 
 
-def canonical_form(g: Graph, automorphisms: Optional[List[Automorphism]] = None) -> bytes:
+def canonical_form(
+    g: Graph, automorphisms: Optional[List[Automorphism]] = None, leaf: Optional[List[int]] = None
+) -> bytes:
     """Isomorphism-invariant byte string for g. If automorphisms is a
     list, the automorphisms of g that the search proved are appended to
-    it (see the module docstring)."""
+    it (see the module docstring). If leaf is a list, the best leaf is
+    appended to it: vertex leaf[i] takes position i of the canonical
+    adjacency."""
     c = _Canonizer(g)
     form = c.run()
     if automorphisms is not None:
         automorphisms.extend(c.automorphisms())
+    if leaf is not None:
+        leaf.extend(c.best_leaf)
     return form
 
 
 def canonical_labeling(g: Graph) -> Tuple[int, ...]:
     """A permutation p (vertex -> canonical label) realizing canonical_form:
     g.relabel(p) has the canonical adjacency."""
-    c = _Canonizer(g)
-    c.run()
+    leaf: List[int] = []
+    canonical_form(g, leaf=leaf)
     perm = [0] * g.n
-    for pos, v in enumerate(c.best_leaf):
+    for pos, v in enumerate(leaf):
         perm[v] = pos
     return tuple(perm)
 

@@ -4,25 +4,42 @@ graphs, by edge count or by order.
 
 Connected classes come from one level-synchronous edge augmentation from
 K_1: level j holds one class per connected K_{2,k+1}-free graph with j
-edges and at most max_n vertices. A connected graph with an edge has an
-edge whose deletion leaves it connected once an isolated vertex is
-dropped (a pendant edge, or an edge on a cycle), and the graph comes back
-from that level-(j-1) parent by a pendant edge or an edge between present
-vertices; so extending each parent in these two ways and deduplicating by
-canonical form is complete. Only an edge between present vertices can
-create a K_{2,k+1}, and such children are pruned before canonicalization.
-Levels can be partitioned across worker processes; partial results merge
-by canonical form.
+edges and at most max_n vertices. A parent is extended by an edge between
+present vertices, pruned first if it creates a K_{2,k+1}, and by a pendant
+edge to a fresh vertex; one non-edge per orbit of non-edges, and one
+vertex per orbit of vertices, under the automorphisms the canonizer
+proved on the parent.
 
-Each class keeps, beside its graph, the automorphisms the canonizer proved
-when it canonized that graph, and a parent is extended by one non-edge per
-orbit of non-edges, and one pendant vertex per orbit of vertices, under
-them: the first in order. The representatives do not change: a skipped
-child is the image of an earlier child of the same parent under an
-automorphism of the parent, so it has that child's canonical form, and the
-scan of that parent's children dropped it as a repeat. The first child of
-each class from each parent is still canonized, so the class keeps the
-same representative for any subgroup of the automorphisms and any worker
+Each class is kept from exactly one parent, by B. D. McKay's
+canonical-parent test ("Isomorph-free exhaustive generation", J.
+Algorithms 26 (1998) 306-324). The deletable edges of a connected graph
+are its pendant edges and the edges on a cycle: deleting one, and an
+endpoint it leaves isolated, leaves a connected graph with one edge
+fewer. The canonical edge of a graph is, among its deletable edges of
+largest invariant (see _tied_edges), the one whose pair of canonical
+labels is least; it is defined up to an automorphism, so the graph minus
+its canonical edge is one class, its canonical parent. A child, parent
+plus f, is kept if and only if its canonical parent is that parent:
+
+- if a deletable edge has a larger invariant than f, it is dropped
+  before any canonical form is computed;
+- otherwise it is canonized, and kept if f is the only deletable edge of
+  that invariant, or is the canonical edge, or lies in the canonical
+  edge's orbit under the automorphisms proved on the child;
+- failing those, child minus its canonical edge is canonized and compared
+  with the parent's form. This last test needs no automorphism, so it
+  holds when the canonizer proves only a subgroup of the group.
+
+This is complete: a class's canonical parent lies on the level below,
+and the extension of that parent's representative by the image of the
+canonical edge, or by an edge in its orbit under the parent's
+automorphisms, is a child in the class whose added edge plays the
+canonical edge's part, and is kept. A class has one canonical parent, so
+no other parent keeps it; within one parent its repeats, children in one
+orbit of the full group that the proved subgroup did not join, are
+dropped by form. A level is the parts of its parents joined, a class kept
+from two parents raises, and a class's representative is the first child
+of its canonical parent's representative in it, whatever the worker
 count.
 
 Every other class is a disjoint union of connected classes, one per
@@ -38,15 +55,16 @@ from __future__ import annotations
 
 from itertools import islice
 from operator import getitem
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from .canon import Automorphism, canonical_form
-from .graph import Graph, adding_edge_creates_k2kp1
+from .graph import Graph, _bits, adding_edge_creates_k2kp1
 
 MAX_EDGES = 16
 MAX_ORDER = 10
 
 Autos = Tuple[Automorphism, ...]
+Edge = Tuple[int, int]  # (u, v) with u < v
 Level = Dict[bytes, Tuple[Graph, Autos]]  # canonical form -> (class, automorphisms proved on it)
 _P = TypeVar("_P")
 
@@ -135,89 +153,211 @@ def _levels(k: int, max_n: int, workers: int) -> Iterator[Level]:
         level = _merge_levels(level, k, max_n, workers)
 
 
+def _orbit(x: _P, autos: Autos, image: Callable[[Automorphism, _P], _P]) -> Set[_P]:
+    """The orbit of x under the group that autos generate; image(p, x) is
+    x moved by p."""
+    orbit = {x}
+    frontier = [x]
+    while frontier:
+        y = frontier.pop()
+        for p in autos:
+            z = image(p, y)
+            if z not in orbit:
+                orbit.add(z)
+                frontier.append(z)
+    return orbit
+
+
 def _orbit_firsts(points: Sequence[_P], autos: Autos, image: Callable[[Automorphism, _P], _P]) -> List[_P]:
     """The first of points in each of their orbits under the group that
-    autos generate; image(p, x) is x moved by p, and points must be closed
-    under it."""
+    autos generate; points must be closed under image."""
     if not autos:
         return list(points)
-    seen = set()
+    seen: Set[_P] = set()
     out = []
     for x in points:
-        if x in seen:
-            continue
-        out.append(x)
-        seen.add(x)
-        frontier = [x]
-        while frontier:
-            y = frontier.pop()
-            for p in autos:
-                z = image(p, y)
-                if z not in seen:
-                    seen.add(z)
-                    frontier.append(z)
+        if x not in seen:
+            out.append(x)
+            seen |= _orbit(x, autos, image)
     return out
 
 
-def _pair_image(p: Automorphism, pair: Tuple[int, int]) -> Tuple[int, int]:
+def _pair_image(p: Automorphism, pair: Edge) -> Edge:
     a, b = p[pair[0]], p[pair[1]]
     return (a, b) if a < b else (b, a)
 
 
-def _extend_fixed_order(g: Graph, k: int, autos: Autos) -> List[Graph]:
+def _extend_fixed_order(g: Graph, k: int, autos: Autos) -> List[Tuple[Graph, Edge]]:
     """One-edge extensions between present vertices that stay K_{2,k+1}-free,
-    one per orbit of non-edges under autos (automorphisms of g)."""
+    one per orbit of non-edges under autos (automorphisms of g), each with
+    its added edge."""
     non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
     return [
-        g.add_edge(u, v)
+        (g.add_edge(u, v), (u, v))
         for u, v in _orbit_firsts(non_edges, autos, _pair_image)
         if not adding_edge_creates_k2kp1(g, u, v, k)
     ]
 
 
-def _extend_by_edges(g: Graph, max_n: int, autos: Autos) -> List[Graph]:
+def _extend_by_edges(g: Graph, max_n: int, autos: Autos) -> List[Tuple[Graph, Edge]]:
     """One-edge extensions that add a vertex, within max_n vertices: a
     pendant edge to a fresh vertex, which cannot create a K_{2,k+1}; one
-    per orbit of vertices under autos (automorphisms of g)."""
+    per orbit of vertices under autos (automorphisms of g), each with its
+    added edge."""
     if g.n + 1 > max_n:
         return []
     grown = Graph._unchecked(g.n + 1, g.rows + (0,))
-    return [grown.add_edge(u, g.n) for u in _orbit_firsts(range(g.n), autos, getitem)]
+    return [(grown.add_edge(u, g.n), (u, g.n)) for u in _orbit_firsts(range(g.n), autos, getitem)]
 
 
-def _children_chunk(args: Tuple[List[Tuple[Graph, Autos]], int, int]) -> Dict[bytes, Tuple[int, Graph, Autos]]:
-    """The children of the parents, each class once, keyed by canonical
-    form, with the index of the first parent that gives it and the
-    automorphisms proved on that child."""
+def _on_cycle(rows: Tuple[int, ...], a: int, b: int) -> bool:
+    """Whether the edge ab lies on a cycle: whether a search from a that
+    does not take the edge reaches b."""
+    seen = 1 << a
+    frontier = rows[a] & ~(1 << b)
+    while frontier:
+        if frontier >> b & 1:
+            return True
+        seen |= frontier
+        reach = 0
+        for x in _bits(frontier):
+            reach |= rows[x]
+        frontier = reach & ~seen
+    return False
+
+
+def _tied_edges(child: Graph, f: Edge) -> Optional[List[Edge]]:
+    """None if a deletable edge of child has a larger invariant than its
+    added edge f; else the deletable edges whose invariant equals f's, f
+    among them. An edge is deletable if it is pendant or on a cycle. Its
+    invariant compares, each part only on a tie of the parts before it:
+    the endpoint degrees, larger first; each endpoint's (degree, sum of
+    its neighbours' degrees), larger endpoint first; the triangles
+    through the edge. Whether an edge is deletable is asked only of the
+    edges that tie with f or beat it."""
+    rows = child.rows
+    deg = [r.bit_count() for r in rows]
+
+    def deletable(a: int, b: int) -> bool:
+        return deg[a] == 1 or deg[b] == 1 or _on_cycle(rows, a, b)
+
+    def ends(e: Edge) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+        a, b = ((deg[x], sum(deg[y] for y in _bits(rows[x]))) for x in e)
+        return (a, b) if a >= b else (b, a)
+
+    def triangles(e: Edge) -> int:
+        return (rows[e[0]] & rows[e[1]]).bit_count()
+
+    # the degrees first, from masks of vertices by degree: an edge beats
+    # f's (big, small) if it has an end above big, or an end at big and
+    # the other above small; it ties if it has an end at big and the
+    # other at small
+    small, big = sorted((deg[f[0]], deg[f[1]]))
+    above = at_big = above_small = at_small = 0
+    for x, dx in enumerate(deg):
+        if dx > big:
+            above |= 1 << x
+        elif dx == big:
+            at_big |= 1 << x
+        if dx > small:
+            above_small |= 1 << x
+        elif dx == small:
+            at_small |= 1 << x
+    for a in _bits(above):
+        for b in _bits(rows[a] & ~(above & ((1 << a) - 1))):
+            if deletable(a, b):
+                return None
+    tied = []
+    for a in _bits(at_big):
+        for b in _bits(rows[a] & above_small & ~above):
+            if deletable(a, b):
+                return None
+        for b in _bits(rows[a] & at_small):
+            if small < big or a < b:
+                e = (a, b) if a < b else (b, a)
+                if e != f:
+                    tied.append(e)
+    for invariant in (ends, triangles):
+        if not tied:
+            return [f]
+        best = invariant(f)
+        rest = []
+        for e in tied:
+            key = invariant(e)
+            if key > best:
+                if deletable(*e):
+                    return None
+            elif key == best:
+                rest.append(e)
+        tied = rest
+    return [f] + [e for e in tied if deletable(*e)]
+
+
+def _canonical_edge(tied: List[Edge], leaf: Sequence[int]) -> Edge:
+    """The edge of tied whose pair of canonical labels is least; leaf[i]
+    is the vertex that takes label i."""
+    label = [0] * len(leaf)
+    for i, v in enumerate(leaf):
+        label[v] = i
+    return min(tied, key=lambda e: sorted((label[e[0]], label[e[1]])))
+
+
+def _keeps(child: Graph, f: Edge, tied: List[Edge], leaf: Sequence[int], autos: Autos, parent_form: bytes) -> bool:
+    """Whether child, its parent plus f, is kept from this parent: whether
+    child minus its canonical edge (see _canonical_edge) is isomorphic to
+    the parent. tied is _tied_edges(child, f); leaf and autos are the best
+    leaf and automorphisms its canonization gave; parent_form is the
+    parent's canonical form. f is the canonical edge, or in its orbit
+    under autos, or else the deletion is canonized: child has two edges
+    or more, so it leaves at most one isolated vertex, which is dropped."""
+    if len(tied) == 1:
+        return True
+    e = _canonical_edge(tied, leaf)
+    if e == f or f in _orbit(e, autos, _pair_image):
+        return True
+    return canonical_form(child.remove_edge(*e).strip_isolated()) == parent_form
+
+
+def _children_chunk(args: Tuple[List[Tuple[bytes, Tuple[Graph, Autos]]], int, int]) -> List[Tuple[bytes, Graph, Autos]]:
+    """The children the parents keep (see _keeps), one per class, each
+    with its canonical form and the automorphisms proved on it; parents
+    are (canonical form, (class, automorphisms)) pairs."""
     parents, k, max_n = args
-    children: Dict[bytes, Tuple[int, Graph, Autos]] = {}
-    for i, (g, autos) in enumerate(parents):
-        for child in _extend_fixed_order(g, k, autos) + _extend_by_edges(g, max_n, autos):
+    kept: List[Tuple[bytes, Graph, Autos]] = []
+    for parent_form, (g, autos) in parents:
+        # a class is kept from this parent or not, whichever of its children
+        # comes first: only the first is judged
+        judged: Set[bytes] = set()
+        for child, f in _extend_fixed_order(g, k, autos) + _extend_by_edges(g, max_n, autos):
+            tied = _tied_edges(child, f)
+            if tied is None:
+                continue
             found: List[Automorphism] = []
-            key = canonical_form(child, found)
-            if key not in children:
-                children[key] = (i, child, tuple(found))
-    return children
+            leaf: List[int] = []
+            form = canonical_form(child, found, leaf)
+            if form in judged:
+                continue
+            judged.add(form)
+            if _keeps(child, f, tied, leaf, tuple(found), parent_form):
+                kept.append((form, child, tuple(found)))
+    return kept
 
 
 def _merge_levels(parents: Level, k: int, max_n: int, workers: int) -> Level:
-    plist = [parents[key] for key in sorted(parents)]
+    plist = list(parents.items())
     if workers <= 1 or len(plist) < 4 * workers:
-        workers = 1
         parts = [_children_chunk((plist, k, max_n))]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         # parents dealt round-robin, which balances the workers better than
-        # contiguous chunks of the sorted parents
+        # contiguous chunks
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_children_chunk, [(plist[w::workers], k, max_n) for w in range(workers)]))
-    # each class keeps the child of its lowest-index parent: the same
-    # representatives as the one-worker scan, whatever the worker count
-    first: Dict[bytes, Tuple[int, Graph, Autos]] = {}
-    for w, part in enumerate(parts):
-        for key, (i, child, autos) in part.items():
-            i = w + i * workers
-            if key not in first or i < first[key][0]:
-                first[key] = (i, child, autos)
-    return {key: (child, autos) for key, (_, child, autos) in first.items()}
+    level: Level = {}
+    for part in parts:
+        for form, child, autos in part:
+            if form in level:
+                raise RuntimeError(f"class of {child} kept from two parents; the canonical-parent test is broken")
+            level[form] = (child, autos)
+    return level

@@ -156,7 +156,10 @@ class Graph:
         return self.n <= 1 or len(self.components()) == 1
 
     def relabel(self, perm: Tuple[int, ...]) -> "Graph":
-        """Apply a permutation: vertex v gets new label perm[v]."""
+        """Apply a permutation: vertex v gets new label perm[v]. Raises
+        GraphError unless perm is a permutation of 0..n-1."""
+        if sorted(perm) != list(range(self.n)):
+            raise GraphError(f"relabel needs a permutation of 0..{self.n - 1}, got {tuple(perm)}")
         return Graph.from_edges(self.n, [(perm[u], perm[v]) for u, v in self.edges()])
 
 

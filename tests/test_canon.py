@@ -147,16 +147,20 @@ def _assert_automorphisms(g):
     return found
 
 
-def test_automorphisms_of_enumerated_graphs(monkeypatch):
-    seen = []
-    form = enumeration.canonical_form
+def _enumeration_children(m):
+    """Every child the edge augmentation of enumerate --m m makes: the
+    graphs the canonizer meets in enumeration, before the canonical-parent
+    test decides which of them to canonize."""
+    out = []
+    for level in itertools.islice(enumeration._levels(1, m + 1, 1), m):
+        for g, autos in level.values():
+            made = enumeration._extend_fixed_order(g, 1, autos) + enumeration._extend_by_edges(g, m + 1, autos)
+            out += [child for child, _ in made]
+    return out
 
-    def capture(g, *args):
-        seen.append(g)
-        return form(g, *args)
 
-    monkeypatch.setattr(enumeration, "canonical_form", capture)
-    list(enumeration.enumerate_c4free_by_edges(9))
+def test_automorphisms_of_enumerated_graphs():
+    seen = _enumeration_children(9)
     assert len(seen) > 2000
     assert sum(len(_assert_automorphisms(g)) for g in seen) > len(seen)
 
@@ -176,17 +180,9 @@ def test_automorphisms_include_twin_swaps():
     assert orbit == set(range(1, 9))
 
 
-def test_matches_reference_on_enumerated_graphs(monkeypatch):
-    # m = 9: with orbit pruning, m = 8 canonizes too few graphs for the bound
-    seen = []
-    form = enumeration.canonical_form
-
-    def capture(g, *args):
-        seen.append(g)
-        return form(g, *args)
-
-    monkeypatch.setattr(enumeration, "canonical_form", capture)
-    list(enumeration.enumerate_c4free_by_edges(9))
+def test_matches_reference_on_enumerated_graphs():
+    # m = 9: with orbit pruning, m = 8 makes too few graphs for the bound
+    seen = _enumeration_children(9)
     assert len(seen) > 1000
     for g in seen:
         _assert_matches_reference(g)
@@ -237,9 +233,10 @@ def test_refine_matches_reference_on_random_partitions(rng):
 
 
 def test_refine_matches_reference_in_enumeration(monkeypatch):
-    # every refinement the search makes for the graphs enumeration
-    # canonizes: each unit partition, and each child with the queue of its
-    # two new cells
+    # every refinement the search makes for the graphs enumeration makes:
+    # each unit partition, and each child with the queue of its two new
+    # cells
+    children = _enumeration_children(8)
     calls = []
     refine = _Canonizer._refine
 
@@ -248,7 +245,8 @@ def test_refine_matches_reference_in_enumeration(monkeypatch):
         return refine(self, partition, queue)
 
     monkeypatch.setattr(_Canonizer, "_refine", capture)
-    list(enumeration.enumerate_c4free_by_edges(8))
+    for g in children:
+        canonical_form(g)
     monkeypatch.setattr(_Canonizer, "_refine", refine)
     assert sum(queue is None for *_, queue in calls) > 500
     assert sum(queue is not None for *_, queue in calls) > 1000

@@ -16,7 +16,9 @@ import pytest
 
 import c4free
 from c4free import enumeration, graph6, search, spectral
+from c4free.canon import canonical_form
 from c4free.cli import COMMANDS, _finish, _RecordWriter, main
+from c4free.graph import make_friendship, make_snk
 from c4free.spectral import spectral_radius
 from c4free.verify import VerificationRecord, VerifySummary, ViolationCertificate
 
@@ -137,19 +139,20 @@ def test_search_m14_golden(capsys, tmp_path):
 
 def test_th1_m9_golden(capsys, tmp_path):
     # the benchmark's exhaustive workload: records stream in canonical
-    # order, so a canonizer that changes a single byte of a form changes
-    # these digests
+    # order and name each class by its representative, so a canonizer that
+    # changes a single byte of a form, or an enumeration that keeps another
+    # representative, changes these digests
     records = tmp_path / "th1.csv"
     code, out = run(capsys, "verify-th1", "--m", "9", "--format", "csv", "--workers", "1", "--output", str(records))
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == "022cfdb20d960eb7a025af2c29b3c25bbfb55a005dadd7904b1e31e124eb320c"
-    assert hashlib.sha256(records.read_bytes()).hexdigest() == "fd86ea2c64cd148c2a59d759ab017c9f91146279341aea28f26d8bf200e2a6fd"
+    assert hashlib.sha256(out.encode()).hexdigest() == "4019fe728ae76148cf7954040192a47dfac813474f6df93becb62e98c7d81d02"
+    assert hashlib.sha256(records.read_bytes()).hexdigest() == "c37165f9568cef1c4e68576af0d0e3b1d2c856691253a2cbcc55fd31e8fd28d8"
     code, out = run(capsys, "enumerate", "--m", "8")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == "5501d768fec7a9b7f885c9b8bcd667033cbb1e12add7e3041a741b33ab73e814"
+    assert hashlib.sha256(out.encode()).hexdigest() == "747ad85f41aa8e29b449e79e7b8c7c528c299ee01b4411d9b95cad20b8b3fa7b"
     code, out = run(capsys, "enumerate", "--n", "8")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == "51e21e177119cd1b020c3ebae2750e71f242fac7bedafad6e7fb0ef18b1ec994"
+    assert hashlib.sha256(out.encode()).hexdigest() == "a37f6f1e3db95623e0814e7c802e84ae0b13bf9273e727605d01aeea17ca1ea2"
 
 
 def test_in3_n7_certificate_golden(capsys, tmp_path):
@@ -157,7 +160,7 @@ def test_in3_n7_certificate_golden(capsys, tmp_path):
     cert = tmp_path / "in3.json"
     code, _ = run(capsys, "verify-in3", "--n", "7", "--certificate", str(cert))
     assert code == 0
-    assert hashlib.sha256(cert.read_bytes()).hexdigest() == "dd6bb35a6c75cfebaf6c0140cc5442d202b3f96685d7586e9e018b0a21d8e86a"
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == "10488c37f4ac9a37d015de538bbddb457760c9ed2b17a033f28f139c7b87e57d"
 
 
 def test_convergence_error_exit_1(monkeypatch, capsys):
@@ -385,9 +388,12 @@ def test_verify_th2_flags_extra_equalities(capsys):
     assert code == 2
     payload = json.loads(out)
     assert payload["findings"] == [
-        "unexpected equality class equality-friendship at F{eCG",
-        "unexpected equality class equality-snk at G{eCC?",
+        "unexpected equality class equality-friendship at FuiCG",
+        "unexpected equality class equality-snk at GuiCC?",
     ]
+    # the named graphs are F_3 and S_{8,2}
+    assert canonical_form(graph6.decode("FuiCG")) == canonical_form(make_friendship(3))
+    assert canonical_form(graph6.decode("GuiCC?")) == canonical_form(make_snk(8, 2))
 
 
 @pytest.mark.parametrize("k", ["1", "2"])

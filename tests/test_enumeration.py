@@ -25,21 +25,27 @@ import pytest
 from networkx.algorithms.isomorphism import GraphMatcher
 from networkx.generators.atlas import graph_atlas_g
 
-from c4free import graph6
+from c4free import enumeration, graph6
 from c4free.canon import canonical_form
 from c4free.enumeration import (
     MAX_EDGES,
     MAX_ORDER,
     CapExceeded,
+    _canonical_edge,
     _check_request,
     _extend_by_edges,
     _extend_fixed_order,
+    _keeps,
     _levels,
+    _on_cycle,
+    _tied_edges,
     enumerate_c4free_by_edges,
     enumerate_c4free_by_order,
     enumerate_kfree_by_order,
 )
 from c4free.graph import Graph
+from conftest import random_connected_graph
+from enumeration_reference import reference_levels
 
 
 def _atlas_c4free():
@@ -261,11 +267,12 @@ def test_by_edges_k_refused_before_workers_and_cap():
 
 
 def _first_child_per_class(g, k, max_n, autos):
-    """Canonical form -> the first child of g in that class, as the scan of
-    one parent keeps it."""
+    """Canonical form -> the first child of g in that class, with its added
+    edge."""
     first = {}
-    for child in _extend_fixed_order(g, k, autos) + _extend_by_edges(g, max_n, autos):
-        first.setdefault(canonical_form(child), child)
+    for child, f in _extend_fixed_order(g, k, autos) + _extend_by_edges(g, max_n, autos):
+        assert child.remove_edge(*f).rows[: g.n] == g.rows
+        first.setdefault(canonical_form(child), (child, f))
     return first
 
 
@@ -286,6 +293,57 @@ def test_orbit_pruning_keeps_every_class(k, max_n, levels):
             pruned = _first_child_per_class(g, k, max_n, autos)
             assert pruned == _first_child_per_class(g, k, max_n, ())
     assert parents > 50
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "k, max_n, levels",
+    [(1, 11, 11), (1, 8, None), (2, 7, None)],
+    ids=["by-edges-m10", "by-order-n8", "k2-by-order-n7"],
+)
+def test_levels_match_reference(k, max_n, levels, workers):
+    # the canonical-parent test keeps the classes that canonizing every
+    # child keeps, level by level; a class kept from two parents raises
+    ours = [sorted(level) for level in islice(_levels(k, max_n, workers), levels)]
+    assert ours == [sorted(level) for level in islice(reference_levels(k, max_n), levels)]
+
+
+def test_keeps_the_same_children_without_automorphisms():
+    # judged with no automorphisms, a child whose added edge is not its
+    # canonical edge cannot pass by the orbit shortcut and is judged by
+    # canonizing child minus that edge: the verdicts must not change.
+    # Enumeration never reaches that branch at these sizes, so this is
+    # where it is tested.
+    by_deletion = 0
+    for level in islice(_levels(1, 10, 1), 9):  # the parents of enumerate --m 9
+        for parent_form, (g, autos) in level.items():
+            for child, f in _extend_fixed_order(g, 1, autos) + _extend_by_edges(g, 10, autos):
+                tied = _tied_edges(child, f)
+                if tied is None:
+                    continue
+                found, leaf = [], []
+                canonical_form(child, found, leaf)
+                keeps = _keeps(child, f, tied, leaf, tuple(found), parent_form)
+                assert _keeps(child, f, tied, leaf, (), parent_form) == keeps
+                by_deletion += keeps and len(tied) > 1 and _canonical_edge(tied, leaf) != f
+    assert by_deletion == 312
+
+
+def test_class_from_two_parents_raises(monkeypatch):
+    # with every child kept, K_3 + a pendant edge comes from P_4 and from K_3
+    monkeypatch.setattr(enumeration, "_keeps", lambda *args: True)
+    with pytest.raises(RuntimeError, match="two parents"):
+        list(_levels(1, 10, 1))
+
+
+def test_deletable_edges_are_the_pendant_and_cycle_edges(rng):
+    # _on_cycle against networkx's bridges, on random connected graphs
+    for _ in range(300):
+        g = random_connected_graph(rng, rng.randint(2, 12), rng.randint(0, 6))
+        G = nx.Graph(list(g.edges()))
+        bridges = {tuple(sorted(e)) for e in nx.bridges(G)}
+        for a, b in g.edges():
+            assert _on_cycle(g.rows, a, b) == ((a, b) not in bridges)
 
 
 def test_workers_below_one_rejected():

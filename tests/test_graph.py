@@ -135,6 +135,17 @@ class TestMutation:
         with pytest.raises(GraphError, match="out of range"):
             make_star(3).remove_edge(u, v)
 
+    def test_relabel(self):
+        g = Graph.from_edges(3, [(0, 2), (1, 2)])
+        assert sorted(g.relabel((2, 0, 1)).edges()) == [(0, 1), (1, 2)]
+
+    @pytest.mark.parametrize("perm", [(0, 0, 1), (0, 1), (0, 1, 2, 3), (0, 1, 3), (0, -1, 2)])
+    def test_relabel_refuses_a_map_that_is_not_a_permutation(self, perm):
+        # (0, 0, 1) would merge two vertices and drop an edge; a short map
+        # would fail on an index
+        with pytest.raises(GraphError, match="permutation"):
+            Graph.from_edges(3, [(0, 2), (1, 2)]).relabel(perm)
+
     def test_strip_isolated(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2)])
         h = g.strip_isolated()
