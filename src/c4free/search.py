@@ -6,9 +6,12 @@ the local eigenvector-weight checks used in the induction argument.
 A move removes and adds equally many edges, must keep the graph C4-free,
 and is accepted only when the recomputed spectral radius strictly
 increases; the Rayleigh gain predicted from the current Perron vector only
-orders the candidates. Candidates are edge flips on the current graph: each
-step solves their adjacency matrices in one stacked eigensolve, and only the
-accepted move is built as a Graph.
+orders the candidates. The candidates of a step are rewires of the current
+graph held as index arrays (`Candidates`), not as objects: the single-edge
+flips are decided all at once by counting walks of length 3, their gains are
+array operations, and their adjacency matrices are built and solved in
+stacks of RADII_CHUNK. Only the accepted candidate is built as a Move, and
+then as a checked Graph.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .graph import Graph, GraphError, adding_edge_creates_c4, _bits, _k2kp1_after_adding
-from .spectral import rayleigh, spectral_radii, spectral_radius, to_numpy
+from . import spectral
+from .spectral import rayleigh, spectral_radii, spectral_radius
 
 Edge = Tuple[int, int]
 
@@ -98,33 +102,71 @@ def _c4free_after(rows: Sequence[int], removed: Sequence[Edge], added: Sequence[
     return True
 
 
-def propose_moves(g: Graph, x: np.ndarray) -> List[Move]:
-    """Candidate edge-count-preserving rewires, ordered by predicted
-    Rayleigh gain (descending).
+@dataclass(frozen=True, eq=False)
+class Candidates:
+    """The rewires proposed on one graph, in climb order: parallel index
+    arrays (candidate, a, b) of the entries each candidate clears and sets,
+    sorted by candidate, and the predicted Rayleigh gains."""
 
-    Includes every single-edge rewire (moving a leaf to the heaviest vertex
-    and swapping the anchor of a path endpoint among them) plus the
-    multi-edge relocations the extremal argument uses: pulling an isolated
-    edge of G[W] onto the heaviest vertex, and relocating a 3-path.
+    adjacency: np.ndarray  # the graph's 0/1 matrix
+    removed: Tuple[np.ndarray, np.ndarray, np.ndarray]
+    added: Tuple[np.ndarray, np.ndarray, np.ndarray]
+    gains: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.gains)
+
+    def _entries(self, lo: int, hi: int) -> List[Tuple[np.ndarray, ...]]:
+        """The removed, then the added entries of the candidates lo..hi-1."""
+        out = []
+        for i, a, b in (self.removed, self.added):
+            s = slice(*np.searchsorted(i, (lo, hi)))
+            out.append((i[s], a[s], b[s]))
+        return out
+
+    def move(self, i: int) -> Move:
+        (_, ra, rb), (_, aa, ab) = self._entries(i, i + 1)
+        removed = tuple(zip(ra.tolist(), rb.tolist()))
+        added = tuple(zip(aa.tolist(), ab.tolist()))
+        return Move(removed, added, float(self.gains[i]))
+
+    def stack(self, lo: int, hi: int) -> np.ndarray:
+        """The 0/1 adjacency matrices of the candidates lo..hi-1, as a
+        (hi - lo, n, n) stack: the removed entries cleared, then the added set."""
+        out = np.repeat(self.adjacency[None], hi - lo, axis=0)
+        for value, (i, a, b) in enumerate(self._entries(lo, hi)):  # 0 for removed, 1 for added
+            out[i - lo, a, b] = out[i - lo, b, a] = value
+        return out
+
+
+def _single_flips(adjacency: np.ndarray, ea: np.ndarray, eb: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """(k, u, v), u < v, in proposal order: removing edge k (ea[k], eb[k])
+    and adding the non-edge uv keeps the graph C4-free. A 4-cycle through uv
+    in g - e is a walk of length 3 from u to v in g - e, so the 3-walk counts
+    of every g - e, taken in integers, decide all flips at once."""
+    k = np.arange(len(ea))
+    h = np.repeat(adjacency[None].astype(np.int64), len(ea), axis=0)
+    h[k, ea, eb] = h[k, eb, ea] = 0
+    return np.nonzero((h @ h @ h == 0) & np.triu(adjacency == 0, 1))
+
+
+def propose_moves(g: Graph, x: np.ndarray) -> Candidates:
+    """Candidate edge-count-preserving rewires, ordered by predicted
+    Rayleigh gain (descending), then by proposal order.
+
+    Includes every single-edge rewire (`_single_flips`: moving a leaf to the
+    heaviest vertex and swapping the anchor of a path endpoint among them)
+    plus the multi-edge relocations the extremal argument uses: pulling an
+    isolated edge of G[W] onto the heaviest vertex, and relocating a 3-path.
     """
-    moves: List[Move] = []
+    relocations: List[Move] = []
     edges = list(g.edges())
-    non_edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if not g.has_edge(u, v)
-    ]
 
     def consider(removed: Sequence[Edge], added: Sequence[Edge]) -> None:
         removed = tuple(sorted(tuple(sorted(e)) for e in removed))
         added = tuple(sorted(tuple(sorted(e)) for e in added))
         if _c4free_after(g.rows, removed, added):
-            moves.append(Move(removed, added, _rayleigh_gain(x, removed, added)))
-
-    for e in edges:
-        for ne in non_edges:
-            consider([e], [ne])
+            relocations.append(Move(removed, added, _rayleigh_gain(x, removed, added)))
 
     top = int(np.argmax(x))
     # isolated-edge and path relocations onto the heaviest vertex
@@ -145,7 +187,28 @@ def propose_moves(g: Graph, x: np.ndarray) -> List[Move]:
                 if ku is not None and kw is not None and top not in (ku, kw):
                     consider([(u, ku), (w, kw), (u, v)], [(u, top), (v, top), (w, top)])
 
-    return sorted(moves, key=lambda mv: -mv.predicted_gain)
+    ea, eb = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    adjacency = np.zeros((g.n, g.n), np.uint8)
+    adjacency[ea, eb] = adjacency[eb, ea] = 1
+    k, fu, fv = _single_flips(adjacency, ea, eb)
+    gains = np.concatenate(
+        [x[fu] * x[fv] - x[ea[k]] * x[eb[k]], [mv.predicted_gain for mv in relocations]]
+    )
+    order = np.argsort(-gains, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+
+    def entries(a: np.ndarray, b: np.ndarray, extra: List[Tuple[Edge, ...]]) -> Tuple[np.ndarray, ...]:
+        # the flips' entries, then the relocations', renumbered in climb order
+        rows = [(len(k) + j, *e) for j, es in enumerate(extra) for e in es]
+        i, ra, rb = np.array(rows, dtype=np.intp).reshape(-1, 3).T
+        i = rank[np.concatenate([np.arange(len(k)), i])]
+        by = np.argsort(i, kind="stable")
+        return i[by], np.concatenate([a, ra])[by], np.concatenate([b, rb])[by]
+
+    removed = entries(ea[k], eb[k], [mv.removed for mv in relocations])
+    added = entries(fu, fv, [mv.added for mv in relocations])
+    return Candidates(adjacency, removed, added, gains[order])
 
 
 def random_c4free_graph(m: int, rng: random.Random, attempts: int = 100) -> Graph:
@@ -195,34 +258,22 @@ def _random_tree(n: int, rng: random.Random) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def _candidate_stack(g: Graph, moves: Sequence[Move]) -> np.ndarray:
-    """The adjacency matrix of each move applied to g, as a (len(moves), n, n)
-    stack of 0/1 bytes: g's matrix copied once per move, with the removed
-    entries cleared and then the added entries set."""
-    stack = np.repeat(to_numpy(g).astype(np.uint8)[None], len(moves), axis=0)
-    for value, edges in (
-        (0, [(i, a, b) for i, mv in enumerate(moves) for a, b in mv.removed]),
-        (1, [(i, a, b) for i, mv in enumerate(moves) for a, b in mv.added]),
-    ):
-        i, a, b = np.array(edges, dtype=np.intp).reshape(-1, 3).T
-        stack[i, a, b] = stack[i, b, a] = value
-    return stack
-
-
-def _best_improving(state: SearchState, candidates: Sequence[Move]) -> Optional[Move]:
-    """The candidate of largest mu above state.mu + IMPROVE_EPS. Every
-    candidate's mu comes from one stacked eigensolve of the candidates'
-    adjacency matrices (`spectral_radii`); the top eigenvalue of a whole
-    adjacency matrix is the graph's mu, so no candidate is built as a Graph
-    or split into components. A candidate replaces the best so far only
-    when its mu is larger by more than IMPROVE_EPS, so a tie keeps the
-    earlier candidate; the order (predicted gain, then proposal order) is
-    fixed, so the result is too."""
-    mus = spectral_radii(_candidate_stack(state.current, candidates))
+def _best_improving(state: SearchState, cands: Candidates, lo: int, hi: int) -> Optional[int]:
+    """The index in lo..hi-1 of the candidate of largest mu above
+    state.mu + IMPROVE_EPS. The candidates' adjacency matrices are built
+    and solved RADII_CHUNK at a time (`spectral_radii`), so memory does not
+    grow with the range; the top eigenvalue of a whole adjacency matrix is
+    the graph's mu, so no candidate is built as a Graph or split into
+    components. A candidate replaces the best so far only when its mu is
+    larger by more than IMPROVE_EPS, so a tie keeps the earlier candidate;
+    the order (predicted gain, then proposal order) is fixed, so the result
+    is too."""
     best, best_mu = None, state.mu
-    for mv, mu in zip(candidates, mus.tolist()):
-        if mu > best_mu + IMPROVE_EPS:
-            best, best_mu = mv, mu
+    for start in range(lo, hi, spectral.RADII_CHUNK):
+        mus = spectral_radii(cands.stack(start, min(start + spectral.RADII_CHUNK, hi)))
+        for i, mu in enumerate(mus.tolist(), start):
+            if mu > best_mu + IMPROVE_EPS:
+                best, best_mu = i, mu
     return best
 
 
@@ -232,15 +283,17 @@ def _climb_once(m: int, seed: int) -> SearchState:
     res = spectral_radius(g)
     state = SearchState(current=g, mu=res.mu, seed=seed)
     while True:
-        candidates = propose_moves(state.current, res.vec)
+        cands = propose_moves(state.current, res.vec)
         # a positive predicted gain already guarantees strict improvement by
-        # the Rayleigh principle, so scan those first and fall back to the
-        # full neighborhood only when needed to certify local optimality
-        promising = [mv for mv in candidates if mv.predicted_gain > -1e-9]
-        rest = [mv for mv in candidates if mv.predicted_gain <= -1e-9]
-        mv = _best_improving(state, promising) or _best_improving(state, rest)
-        if mv is None:
+        # the Rayleigh principle, so scan those first (a prefix of the order)
+        # and fall back to the rest only when needed to certify local optimality
+        promising = int(np.count_nonzero(cands.gains > -1e-9))
+        i = _best_improving(state, cands, 0, promising)
+        if i is None:
+            i = _best_improving(state, cands, promising, len(cands))
+        if i is None:
             return state
+        mv = cands.move(i)
         # only the winner is built and solved, for its Perron vector
         g = mv.apply(state.current)
         res = spectral_radius(g)

@@ -28,7 +28,7 @@ from .graph import Graph, SnkParams, _bits
 
 DEFAULT_TOL = 1e-12
 
-RADII_CHUNK = 64  # matrices per stacked eigensolve; bounds its working memory
+RADII_CHUNK = 64  # matrices per stacked eigensolve, and per stack the climb builds; bounds their memory
 
 STREAM_BLOCK = 512  # graphs read ahead by spectral_radius_stream; bounds its cache
 

@@ -235,6 +235,7 @@ FAILED_CHECKS = [
     ["enumerate", "--m", "17"],
     ["enumerate", "--n", "3", "--workers", "0"],
     ["search", "--m", "5", "--restarts", "0"],
+    ["search", "--m", "0"],
 ]
 
 

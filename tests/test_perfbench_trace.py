@@ -15,6 +15,9 @@ from pathlib import Path
 
 import pytest
 
+from c4free import search
+from c4free.search import hill_climb
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -41,15 +44,29 @@ def _traced(command, tmp_path, rc=0):
     [
         ["verify-in3", "--n", "5"],
         ["verify-small-m", "--m", "5"],
-        ["search", "--m", "6", "--restarts", "1", "--seed", "1"],
+        ["search", "--m", "6", "--restarts", "2", "--seed", "1"],
     ],
 )
-def test_traced_command(command, tmp_path):
+def test_traced_command(command, tmp_path, monkeypatch):
     _, payload = _traced(command, tmp_path)
-    assert payload["layers"]
+    layers = payload["layers"]
+    assert layers
     if command[0] == "search":
         # the climb decides by mu alone
-        assert payload["layers"]["canon.calls"] == 0
+        assert layers["canon.calls"] == 0
+        # one proposal per accepted move and one per restart, at a local
+        # optimum; the candidates counted are those the same climb proposes
+        assert layers["search.propose_calls"] == layers["search.accepted"] + 2
+        propose, proposed = search.propose_moves, []
+
+        def counting(g, x):
+            cands = propose(g, x)
+            proposed.append(len(cands))
+            return cands
+
+        monkeypatch.setattr(search, "propose_moves", counting)
+        hill_climb(6, restarts=2, seed=1)
+        assert layers["search.candidates"] == sum(proposed) > 0
 
 
 def test_perfbench_selftest():

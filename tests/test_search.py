@@ -14,6 +14,7 @@ from c4free.search import (
     SearchState,
     _best_improving,
     _c4free_after,
+    _single_flips,
     claim1_check,
     claim2_check,
     claim3_check,
@@ -24,6 +25,13 @@ from c4free.search import (
 )
 from c4free.spectral import snk_mu, spectral_radius
 from conftest import random_connected_graph
+from search_reference import reference_moves
+
+
+def _moves(g, x):
+    """The candidates of propose_moves, each built as a Move."""
+    cands = propose_moves(g, x)
+    return [cands.move(i) for i in range(len(cands))]
 
 
 def _claim1_instance(n_star: int) -> Graph:
@@ -97,7 +105,7 @@ class TestProposeMoves:
     def test_star_has_no_beneficial_move(self):
         g = make_star(13)  # m = 12, the global maximum
         x = spectral_radius(g).vec
-        moves = propose_moves(g, x)
+        moves = _moves(g, x)
         mu = spectral_radius(g).mu
         for mv in moves[:40]:
             assert spectral_radius(mv.apply(g)).mu <= mu + 1e-12
@@ -105,7 +113,7 @@ class TestProposeMoves:
     def test_p5_improves(self):
         p5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         x = spectral_radius(p5).vec
-        moves = propose_moves(p5, x)
+        moves = _moves(p5, x)
         assert moves
         mu = spectral_radius(p5).mu
         assert any(spectral_radius(mv.apply(p5)).mu > mu + 1e-10 for mv in moves)
@@ -116,13 +124,13 @@ class TestProposeMoves:
         g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
         mu = spectral_radius(g).mu
         x = spectral_radius(g).vec
-        for mv in propose_moves(g, x):
+        for mv in _moves(g, x):
             assert spectral_radius(mv.apply(g)).mu <= mu + 1e-12
 
     def test_triangle_plus_disjoint_edge_improves(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
         x = spectral_radius(g).vec
-        moves = propose_moves(g, x)
+        moves = _moves(g, x)
         mu = spectral_radius(g).mu
         assert any(spectral_radius(mv.apply(g)).mu > mu + 1e-10 for mv in moves)
 
@@ -137,7 +145,7 @@ class TestProposeMoves:
         for _ in range(20):
             g = random_c4free_graph(8, rng)
             x = spectral_radius(g).vec
-            moves = propose_moves(g, x)
+            moves = _moves(g, x)
             self._assert_distinct_rewires(moves)
             for mv in moves[:30]:
                 h = mv.apply(g)
@@ -152,10 +160,60 @@ class TestProposeMoves:
         # move is dropped, the others are proposed
         g = Graph.from_edges(9, [(0, j) for j in range(1, 6)] + [(6, 7), (7, 8), (6, 8)])
         x = spectral_radius(g).vec
-        moves = propose_moves(g, x)
+        moves = _moves(g, x)
         assert moves
         self._assert_distinct_rewires(moves)
         assert all(len(mv.removed) < 3 and not mv.apply(g).has_c4() for mv in moves)
+
+
+def _assert_matches_reference(g, x):
+    # repr shows every bit of a gain, the sign of a zero and the types
+    cands = propose_moves(g, x)
+    assert [repr(cands.move(i)) for i in range(len(cands))] == [repr(mv) for mv in reference_moves(g, x)]
+
+
+class TestMatchesReference:
+    def test_random_graphs(self, rng):
+        padded = relocated = 0
+        for _ in range(240):
+            g = random_c4free_graph(rng.randint(2, 16), rng)
+            x = spectral_radius(g).vec
+            _assert_matches_reference(g, x)
+            padded += any(g.degree(v) == 0 for v in range(g.n))
+            relocated += any(len(mv.removed) > 1 for mv in reference_moves(g, x))
+        assert padded and relocated
+
+    def test_k3_component_away_from_the_top_vertex(self, rng):
+        # a star, a triangle and isolated padding vertices, in shuffled labels
+        edges = [(0, j) for j in range(1, 6)] + [(6, 7), (7, 8), (6, 8)]
+        for pad in range(3):
+            order = list(range(9 + pad))
+            rng.shuffle(order)
+            g = Graph.from_edges(9 + pad, [(order[u], order[v]) for u, v in edges])
+            _assert_matches_reference(g, spectral_radius(g).vec)
+
+    def test_stack_of_a_range_is_that_range_of_the_stack(self, rng):
+        # the climb builds its stacks a chunk at a time
+        for _ in range(50):
+            g = random_c4free_graph(rng.randint(2, 12), rng)
+            cands = propose_moves(g, spectral_radius(g).vec)
+            whole = cands.stack(0, len(cands))
+            lo = rng.randint(0, len(cands))
+            hi = rng.randint(lo, len(cands))
+            assert whole.dtype == np.uint8 and np.array_equal(cands.stack(lo, hi), whole[lo:hi])
+
+    def test_every_state_of_the_benchmark_climb(self, monkeypatch):
+        # search --m 14 --restarts 2 --seed 1: both restarts, every step
+        propose, states = search.propose_moves, []
+
+        def checked(g, x):
+            _assert_matches_reference(g, x)
+            states.append(g)
+            return propose(g, x)
+
+        monkeypatch.setattr(search, "propose_moves", checked)
+        st = hill_climb(14, restarts=2, seed=1)
+        assert st.current in states and len(states) > len(st.moves) + 1
 
 
 def _c4free_after_by_graph_ops(g, removed, added):
@@ -197,6 +255,26 @@ class TestC4freeAfter:
     def test_present_edge_added(self):
         p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         assert not _c4free_after(p4.rows, ((0, 1),), ((1, 2),))
+
+
+class TestSingleFlips:
+    def test_three_walk_rule_matches_c4free_after(self, rng):
+        # every (edge, non-edge) pair; tally the pairs sharing a vertex
+        shared = {True: 0, False: 0}
+        for _ in range(200):
+            g = random_c4free_graph(rng.randint(1, 14), rng)
+            edges = list(g.edges())
+            non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+            ea, eb = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+            flips = _single_flips(spectral.to_numpy(g).astype(np.uint8), ea, eb)
+            admitted = {(edges[k], (u, v)) for k, u, v in zip(*(a.tolist() for a in flips))}
+            for e in edges:
+                for f in non_edges:
+                    ok = _c4free_after(g.rows, [e], [f])
+                    assert ((e, f) in admitted) == ok
+                    if set(e) & set(f):
+                        shared[ok] += 1
+        assert shared[True] and shared[False]
 
 
 class TestRandomStart:
@@ -256,17 +334,42 @@ class TestHillClimb:
     def test_ties_keep_the_earlier_candidate(self, monkeypatch):
         g = make_star(4)
         st = SearchState(current=g, mu=spectral_radius(g).mu, seed=0)
-        moves = propose_moves(g, spectral_radius(g).vec)[:2]
+        cands = propose_moves(g, spectral_radius(g).vec)
+        assert len(cands) >= 2
         for gap, winner in ((0.0, 0), (1e-13, 0), (1e-11, 1)):
             monkeypatch.setattr(search, "spectral_radii", lambda stack: np.array([5.0, 5.0 + gap]))
-            assert _best_improving(st, moves) is moves[winner]
+            assert _best_improving(st, cands, 0, 2) == winner
 
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_chunk_size_does_not_change_the_climb(self, chunk, monkeypatch):
+        # the candidates are built and solved a chunk at a time, so no
+        # eigensolve receives more than 7 matrices: the winner's solve
+        # stacks its distinct components of one order, never 8 at m = 11
         a = hill_climb(11, restarts=2, seed=4)
+        top_pairs, sizes = spectral._top_pairs, []
+
+        def counting(stack):
+            sizes.append(len(stack))
+            return top_pairs(stack)
+
         monkeypatch.setattr(spectral, "RADII_CHUNK", chunk)
+        monkeypatch.setattr(spectral, "_top_pairs", counting)
         b = hill_climb(11, restarts=2, seed=4)
         assert (a.mu, a.current, a.seed, a.moves) == (b.mu, b.current, b.seed, b.moves)
+        assert sizes and max(sizes) <= 7
+
+    def test_every_candidate_is_solved(self, monkeypatch):
+        # search --m 14 --restarts 2 --seed 1, the benchmark's climb, solves
+        # 5,350 candidate matrices: the candidates are not pruned
+        radii, solved = search.spectral_radii, []
+
+        def counting(stack):
+            solved.append(len(stack))
+            return radii(stack)
+
+        monkeypatch.setattr(search, "spectral_radii", counting)
+        hill_climb(14, restarts=2, seed=1)
+        assert sum(solved) == 5350
 
     def test_smallest_sizes(self):
         # m = 1 has no candidate; at m = 2 no candidate has positive

@@ -10,7 +10,7 @@ from c4free import spectral, verify
 from c4free._kernels import power_iteration
 from c4free.enumeration import enumerate_c4free_by_edges, enumerate_c4free_by_order, enumerate_kfree_by_order
 from c4free.graph import Graph, make_friendship, make_snk, make_star
-from c4free.search import _candidate_stack, propose_moves, random_c4free_graph
+from c4free.search import propose_moves, random_c4free_graph
 from c4free.spectral import (
     ConvergenceError,
     max_entry_ok,
@@ -200,8 +200,9 @@ def candidate_stacks():
     out = []
     for _ in range(200):
         g = random_c4free_graph(rng.randint(2, 9), rng)
-        moves = propose_moves(g, spectral_radius(g).vec)
-        out.append((g, moves, _candidate_stack(g, moves)))
+        cands = propose_moves(g, spectral_radius(g).vec)
+        moves = [cands.move(i) for i in range(len(cands))]
+        out.append((g, moves, cands.stack(0, len(cands))))
     return out
 
 
