@@ -141,17 +141,24 @@ def _search(args) -> int:
 
 # flags shared by several commands; each command names the ones it reads
 _SHARED = {
-    "workers": dict(type=int, default=1),
-    "output": dict(help="per-graph record file"),
-    "format": dict(choices=["json", "csv", "graph6-lines"], default="json"),
+    "workers": dict(
+        type=int,
+        default=1,
+        help="worker processes for each enumeration level, or for the restarts of search (default 1)",
+    ),
+    "output": dict(help="write one record per graph here, in --format"),
+    "format": dict(
+        choices=["json", "csv", "graph6-lines"],
+        default="json",
+        help="format of the --output records: JSON objects, CSV rows or graph6 lines (default json)",
+    ),
     "certificate": dict(help="write the summary certificate JSON here"),
     "force": dict(action="store_true", help="override desk-scale caps"),
 }
 _VERIFY = ("workers", "output", "format", "certificate", "force")
 
-_M = ("--m", dict(type=int, required=True))
-_N = ("--n", dict(type=int, required=True))
-_K = ("--k", dict(type=int, required=True))
+_M = ("--m", dict(type=int, required=True, help="number of edges"))
+_N = ("--n", dict(type=int, required=True, help="number of vertices"))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -161,6 +168,7 @@ class Command:
     flags: Tuple[Tuple[str, dict], ...]  # the command's own flags
     shared: Tuple[str, ...]  # keys of _SHARED that the command reads
     one_of: bool = False  # exactly one of the own flags is given
+    output_help: Optional[str] = None  # what --output holds, when not the shared records
 
 
 # One entry per command: its help, its own flags, the shared flags it reads
@@ -205,7 +213,7 @@ COMMANDS = {
     "verify-k2k1": Command(
         "mu^2 - mu <= k(n-1) over K_{2,k+1}-free graphs",
         _verify(lambda a, sink: verify_k2k1(a.n, a.k, a.workers, sink, a.force)),
-        (_N, _K),
+        (_N, ("--k", dict(type=int, required=True, help="forbid K_{2,k+1}"))),
         _VERIFY,
     ),
     "srg-table": Command("exact identity check for the strongly regular table", _srg_table, (), ()),
@@ -218,14 +226,35 @@ COMMANDS = {
         ),
         ("workers", "output", "force"),
         one_of=True,
+        output_help="write the graph6 lines here instead of stdout",
     ),
     "search": Command(
         "hill-climb mu over C4-free graphs with m edges",
         _search,
-        (_M, ("--restarts", dict(type=int, default=5)), ("--seed", dict(type=int, default=0))),
+        (
+            _M,
+            (
+                "--restarts",
+                dict(
+                    type=int,
+                    default=5,
+                    help="independent climbs, each from a random start graph; the best is reported (default %(default)s)",
+                ),
+            ),
+            (
+                "--seed",
+                dict(type=int, default=0, help="master seed: restart i draws from seed * 1000003 + i (default %(default)s)"),
+            ),
+        ),
         ("workers", "output"),
+        output_help="write the accepted moves of the reported climb here, as a JSON list",
     ),
-    "snk": Command("closed-form spectral radius of S_{n,k}", _snk, (_N, _K), ()),
+    "snk": Command(
+        "closed-form spectral radius of S_{n,k}",
+        _snk,
+        (_N, ("--k", dict(type=int, required=True, help="disjoint edges among the leaves of the star"))),
+        (),
+    ),
 }
 
 
@@ -238,7 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, kwargs in cmd.flags:
             own.add_argument(flag, **kwargs)
         for key in cmd.shared:
-            p.add_argument(f"--{key}", **_SHARED[key])
+            kwargs = _SHARED[key]
+            if key == "output" and cmd.output_help:
+                kwargs = dict(kwargs, help=cmd.output_help)
+            p.add_argument(f"--{key}", **kwargs)
     return ap
 
 

@@ -12,6 +12,13 @@ flips are decided all at once by counting walks of length 3, their gains are
 array operations, and their adjacency matrices are built and solved in
 stacks of RADII_CHUNK. Only the accepted candidate is built as a Move, and
 then as a checked Graph.
+
+Each step canonizes the current graph once, for the automorphisms
+`canonical_form` proves on it, and labels every single-edge flip with its
+orbit under them. Flips of one orbit rewire the graph into isomorphic
+graphs of one mu, so only the first member of each orbit in a scanned range
+is solved; the tie rule (a later candidate must beat the best by more than
+IMPROVE_EPS) is what makes the skipped members unable to change the result.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .canon import canonical_form
 from .graph import Graph, GraphError, adding_edge_creates_c4, _bits, _k2kp1_after_adding
 from . import spectral
 from .spectral import rayleigh, spectral_radii, spectral_radius
@@ -106,36 +114,40 @@ def _c4free_after(rows: Sequence[int], removed: Sequence[Edge], added: Sequence[
 class Candidates:
     """The rewires proposed on one graph, in climb order: parallel index
     arrays (candidate, a, b) of the entries each candidate clears and sets,
-    sorted by candidate, and the predicted Rayleigh gains."""
+    sorted by candidate, the predicted Rayleigh gains, and orbit labels.
+
+    orbit[i] is the climb index of the first candidate of candidate i's
+    orbit under the automorphisms the canonizer proved on the graph. The
+    members of an orbit are rewires onto isomorphic graphs, so they have
+    one mu; a relocation is an orbit of its own."""
 
     adjacency: np.ndarray  # the graph's 0/1 matrix
     removed: Tuple[np.ndarray, np.ndarray, np.ndarray]
     added: Tuple[np.ndarray, np.ndarray, np.ndarray]
     gains: np.ndarray
+    orbit: np.ndarray
 
     def __len__(self) -> int:
         return len(self.gains)
 
-    def _entries(self, lo: int, hi: int) -> List[Tuple[np.ndarray, ...]]:
-        """The removed, then the added entries of the candidates lo..hi-1."""
-        out = []
-        for i, a, b in (self.removed, self.added):
-            s = slice(*np.searchsorted(i, (lo, hi)))
-            out.append((i[s], a[s], b[s]))
-        return out
-
     def move(self, i: int) -> Move:
-        (_, ra, rb), (_, aa, ab) = self._entries(i, i + 1)
-        removed = tuple(zip(ra.tolist(), rb.tolist()))
-        added = tuple(zip(aa.tolist(), ab.tolist()))
-        return Move(removed, added, float(self.gains[i]))
+        edges = []
+        for c, a, b in (self.removed, self.added):
+            s = slice(*np.searchsorted(c, (i, i + 1)))
+            edges.append(tuple(zip(a[s].tolist(), b[s].tolist())))
+        return Move(edges[0], edges[1], float(self.gains[i]))
 
-    def stack(self, lo: int, hi: int) -> np.ndarray:
-        """The 0/1 adjacency matrices of the candidates lo..hi-1, as a
-        (hi - lo, n, n) stack: the removed entries cleared, then the added set."""
-        out = np.repeat(self.adjacency[None], hi - lo, axis=0)
-        for value, (i, a, b) in enumerate(self._entries(lo, hi)):  # 0 for removed, 1 for added
-            out[i - lo, a, b] = out[i - lo, b, a] = value
+    def stack(self, idx: np.ndarray) -> np.ndarray:
+        """The 0/1 adjacency matrices of the candidates idx (distinct
+        indices), as a (len(idx), n, n) stack: the removed entries cleared,
+        then the added set."""
+        row = np.full(len(self), -1)
+        row[idx] = np.arange(len(idx))
+        out = np.repeat(self.adjacency[None], len(idx), axis=0)
+        for value, (c, a, b) in enumerate((self.removed, self.added)):  # 0 for removed, 1 for added
+            r = row[c]
+            s = r >= 0
+            out[r[s], a[s], b[s]] = out[r[s], b[s], a[s]] = value
         return out
 
 
@@ -148,6 +160,66 @@ def _single_flips(adjacency: np.ndarray, ea: np.ndarray, eb: np.ndarray) -> Tupl
     h = np.repeat(adjacency[None].astype(np.int64), len(ea), axis=0)
     h[k, ea, eb] = h[k, eb, ea] = 0
     return np.nonzero((h @ h @ h == 0) & np.triu(adjacency == 0, 1))
+
+
+def _generators(g: Graph) -> np.ndarray:
+    """The automorphisms canonical_form proves on g, as a (G, n) array, with
+    its transpositions (the twin swaps, and any leaf generator that is one)
+    cut to a spanning forest of the vertex pairs they swap. The transpositions
+    of a forest generate the symmetric group on each of its trees, as all of
+    them do, so the group is the same."""
+    autos: List[Tuple[int, ...]] = []
+    canonical_form(g, automorphisms=autos)
+    gens = np.array(autos, dtype=np.intp).reshape(-1, g.n)
+    moved = gens != np.arange(g.n)
+    root = list(range(g.n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    keep = moved.sum(axis=1) != 2
+    for t in np.flatnonzero(~keep).tolist():
+        a, b = (find(v) for v in np.flatnonzero(moved[t]).tolist())
+        if a != b:
+            root[a] = b
+            keep[t] = True
+    return gens[keep]
+
+
+def _flip_orbits(gens: np.ndarray, n: int, a: np.ndarray, b: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """For each flip i, removing the edge a[i]b[i] and adding the non-edge
+    u[i]v[i], the least index of a flip in its orbit under the group the
+    rows of gens generate. A flip is keyed by its two vertex pairs, and the
+    keys ascend in the order `_single_flips` gives; each generator's images
+    are looked up among the keys, and an image whose key is not there raises
+    RuntimeError. The orbits are the classes of a
+    union-find over the pairs (flip, image), merged one generator at a time,
+    so the temporaries are O(flips)."""
+
+    def keys(a, b, u, v):
+        return ((np.minimum(a, b) * n + np.maximum(a, b)) * n + np.minimum(u, v)) * n + np.maximum(u, v)
+
+    own = keys(a, b, u, v)
+    label = np.arange(len(own))
+    if not len(own):
+        return label
+    for p in gens:
+        img = keys(p[a], p[b], p[u], p[v])
+        j = np.minimum(np.searchsorted(own, img), len(own) - 1)
+        if not np.array_equal(own[j], img):
+            raise RuntimeError("an automorphism maps a C4-free flip to no flip")
+        while True:
+            while not np.array_equal(up := label[label], label):
+                label = up
+            ri, rj = label, label[j]
+            d = ri != rj
+            if not d.any():
+                break
+            # hook each root onto the least root it is paired with
+            np.minimum.at(label, np.maximum(ri[d], rj[d]), np.minimum(ri[d], rj[d]))
+    return label
 
 
 def propose_moves(g: Graph, x: np.ndarray) -> Candidates:
@@ -191,6 +263,7 @@ def propose_moves(g: Graph, x: np.ndarray) -> Candidates:
     adjacency = np.zeros((g.n, g.n), np.uint8)
     adjacency[ea, eb] = adjacency[eb, ea] = 1
     k, fu, fv = _single_flips(adjacency, ea, eb)
+    roots = _flip_orbits(_generators(g), g.n, ea[k], eb[k], fu, fv)
     gains = np.concatenate(
         [x[fu] * x[fv] - x[ea[k]] * x[eb[k]], [mv.predicted_gain for mv in relocations]]
     )
@@ -208,7 +281,13 @@ def propose_moves(g: Graph, x: np.ndarray) -> Candidates:
 
     removed = entries(ea[k], eb[k], [mv.removed for mv in relocations])
     added = entries(fu, fv, [mv.added for mv in relocations])
-    return Candidates(adjacency, removed, added, gains[order])
+    # an orbit of flips is labelled by its first member in climb order; each
+    # relocation is its own
+    first = np.full(len(k), len(order))
+    np.minimum.at(first, roots, rank[: len(k)])
+    orbit = np.arange(len(order))
+    orbit[rank[: len(k)]] = first[roots]
+    return Candidates(adjacency, removed, added, gains[order], orbit)
 
 
 def random_c4free_graph(m: int, rng: random.Random, attempts: int = 100) -> Graph:
@@ -260,18 +339,29 @@ def _random_tree(n: int, rng: random.Random) -> Graph:
 
 def _best_improving(state: SearchState, cands: Candidates, lo: int, hi: int) -> Optional[int]:
     """The index in lo..hi-1 of the candidate of largest mu above
-    state.mu + IMPROVE_EPS. The candidates' adjacency matrices are built
-    and solved RADII_CHUNK at a time (`spectral_radii`), so memory does not
-    grow with the range; the top eigenvalue of a whole adjacency matrix is
-    the graph's mu, so no candidate is built as a Graph or split into
-    components. A candidate replaces the best so far only when its mu is
-    larger by more than IMPROVE_EPS, so a tie keeps the earlier candidate;
-    the order (predicted gain, then proposal order) is fixed, so the result
-    is too."""
+    state.mu + IMPROVE_EPS, with one candidate solved per orbit: the first
+    member of each orbit within lo..hi-1 (`Candidates.orbit`). The solved
+    candidates' adjacency matrices are built and solved RADII_CHUNK at a time
+    (`spectral_radii`), so memory does not grow with the range; the top
+    eigenvalue of a whole adjacency matrix is the graph's mu, so no candidate
+    is built as a Graph or split into components. A candidate replaces the
+    best so far only when its mu is larger by more than IMPROVE_EPS, so a tie
+    keeps the earlier candidate; the order (predicted gain, then proposal
+    order) is fixed, so the result is too.
+
+    Skipping the later members of an orbit is exact in exact arithmetic: a
+    later member is isomorphic to the solved first one, so its mu is equal
+    and, by the tie rule, it could not have replaced the best. In floats the
+    members' mu differ by rounding only (at most 1.5e-14 over the 356 climb
+    states of m = 9..18, seeds 1 and 7), so a skipped member could change
+    the result only if the first member's mu lay within that rounding of
+    best + IMPROVE_EPS."""
+    _, firsts = np.unique(cands.orbit[lo:hi], return_index=True)
+    solve = lo + np.sort(firsts)
     best, best_mu = None, state.mu
-    for start in range(lo, hi, spectral.RADII_CHUNK):
-        mus = spectral_radii(cands.stack(start, min(start + spectral.RADII_CHUNK, hi)))
-        for i, mu in enumerate(mus.tolist(), start):
+    for start in range(0, len(solve), spectral.RADII_CHUNK):
+        idx = solve[start : start + spectral.RADII_CHUNK]
+        for i, mu in zip(idx.tolist(), spectral_radii(cands.stack(idx)).tolist()):
             if mu > best_mu + IMPROVE_EPS:
                 best, best_mu = i, mu
     return best

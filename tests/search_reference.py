@@ -9,16 +9,21 @@ sorted by predicted gain, stably.
 move: the same order, the same removed and added edges and the same
 predicted gain, bit for bit. It shares with this reference only `Move`,
 `_c4free_after` and `_rayleigh_gain`.
+
+`reference_best_improving` is the climb's scan without orbits: it solves
+every candidate of its range, so a climb run with it in place of
+`c4free.search._best_improving` must make the same moves.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
+from c4free import spectral
 from c4free.graph import Graph, _bits
-from c4free.search import Edge, Move, _c4free_after, _rayleigh_gain
+from c4free.search import IMPROVE_EPS, Candidates, Edge, Move, SearchState, _c4free_after, _rayleigh_gain
 
 
 def reference_moves(g: Graph, x: np.ndarray) -> List[Move]:
@@ -60,3 +65,16 @@ def reference_moves(g: Graph, x: np.ndarray) -> List[Move]:
                     consider([(u, ku), (w, kw), (u, v)], [(u, top), (v, top), (w, top)])
 
     return sorted(moves, key=lambda mv: -mv.predicted_gain)
+
+
+def reference_best_improving(state: SearchState, cands: Candidates, lo: int, hi: int) -> Optional[int]:
+    """The index in lo..hi-1 of the candidate of largest mu above
+    state.mu + IMPROVE_EPS, the earlier one on a tie, with every candidate
+    of the range solved."""
+    best, best_mu = None, state.mu
+    for start in range(lo, hi, spectral.RADII_CHUNK):
+        idx = np.arange(start, min(start + spectral.RADII_CHUNK, hi))
+        for i, mu in zip(idx.tolist(), spectral.spectral_radii(cands.stack(idx)).tolist()):
+            if mu > best_mu + IMPROVE_EPS:
+                best, best_mu = i, mu
+    return best

@@ -17,7 +17,7 @@ import pytest
 import c4free
 from c4free import enumeration, graph6, search, spectral
 from c4free.canon import canonical_form
-from c4free.cli import COMMANDS, _finish, _RecordWriter, main
+from c4free.cli import COMMANDS, _finish, _RecordWriter, build_parser, main
 from c4free.graph import make_friendship, make_snk
 from c4free.spectral import spectral_radius
 from c4free.verify import VerificationRecord, VerifySummary, ViolationCertificate
@@ -490,6 +490,21 @@ def test_readme_lists_every_flag():
         flags = [flag for flag, _ in cmd.flags] + [f"--{key}" for key in cmd.shared]
         row = next(line for line in readme if line.startswith(f"| `{name}` |"))
         assert re.findall(r"`(--[a-z]+)`", row) == flags, name
+
+
+def test_every_flag_has_help():
+    # every option of every subcommand says what it does; --output says what
+    # its command writes there
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(COMMANDS)
+    outputs = {}
+    for name, parser in sub.choices.items():
+        for action in parser._actions:
+            assert action.help and action.help.strip(), (name, action.option_strings)
+            if "--output" in action.option_strings:
+                outputs[name] = action.help
+    assert "graph6 lines" in outputs["enumerate"] and "moves" in outputs["search"]
+    assert all("record" in outputs[name] for name in outputs if name.startswith("verify-"))
 
 
 def test_readme_library_example():

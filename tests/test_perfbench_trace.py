@@ -52,8 +52,10 @@ def test_traced_command(command, tmp_path, monkeypatch):
     layers = payload["layers"]
     assert layers
     if command[0] == "search":
-        # the climb decides by mu alone
-        assert layers["canon.calls"] == 0
+        # one canonization per proposal, for the automorphisms that label the
+        # orbits of the candidates; it only skips solves, and the climb
+        # still decides by mu alone
+        assert layers["canon.calls"] == layers["search.propose_calls"]
         # one proposal per accepted move and one per restart, at a local
         # optimum; the candidates counted are those the same climb proposes
         assert layers["search.propose_calls"] == layers["search.accepted"] + 2

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
+import itertools
 import math
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -14,6 +17,8 @@ from c4free.search import (
     SearchState,
     _best_improving,
     _c4free_after,
+    _flip_orbits,
+    _generators,
     _single_flips,
     claim1_check,
     claim2_check,
@@ -23,9 +28,9 @@ from c4free.search import (
     propose_moves,
     random_c4free_graph,
 )
-from c4free.spectral import snk_mu, spectral_radius
+from c4free.spectral import snk_mu, spectral_radii, spectral_radius
 from conftest import random_connected_graph
-from search_reference import reference_moves
+from search_reference import reference_best_improving, reference_moves
 
 
 def _moves(g, x):
@@ -193,14 +198,17 @@ class TestMatchesReference:
             _assert_matches_reference(g, spectral_radius(g).vec)
 
     def test_stack_of_a_range_is_that_range_of_the_stack(self, rng):
-        # the climb builds its stacks a chunk at a time
+        # the climb builds its stacks a chunk at a time, from the first
+        # member of each orbit: a range, or any indices, of the whole stack
         for _ in range(50):
             g = random_c4free_graph(rng.randint(2, 12), rng)
             cands = propose_moves(g, spectral_radius(g).vec)
-            whole = cands.stack(0, len(cands))
+            whole = cands.stack(np.arange(len(cands)))
             lo = rng.randint(0, len(cands))
             hi = rng.randint(lo, len(cands))
-            assert whole.dtype == np.uint8 and np.array_equal(cands.stack(lo, hi), whole[lo:hi])
+            assert whole.dtype == np.uint8 and np.array_equal(cands.stack(np.arange(lo, hi)), whole[lo:hi])
+            idx = np.array(rng.sample(range(len(cands)), rng.randint(0, len(cands))), dtype=np.intp)
+            assert np.array_equal(cands.stack(idx), whole[idx])
 
     def test_every_state_of_the_benchmark_climb(self, monkeypatch):
         # search --m 14 --restarts 2 --seed 1: both restarts, every step
@@ -214,6 +222,17 @@ class TestMatchesReference:
         monkeypatch.setattr(search, "propose_moves", checked)
         st = hill_climb(14, restarts=2, seed=1)
         assert st.current in states and len(states) > len(st.moves) + 1
+
+    def test_climb_matches_the_unpruned_climb(self, monkeypatch):
+        # solving one candidate per orbit makes the moves that solving every
+        # candidate makes
+        for m in range(9, 15):
+            for seed in (1, 7):
+                a = hill_climb(m, restarts=2, seed=seed)
+                with monkeypatch.context() as mp:
+                    mp.setattr(search, "_best_improving", reference_best_improving)
+                    b = hill_climb(m, restarts=2, seed=seed)
+                assert (a.mu, a.current, a.seed, a.moves) == (b.mu, b.current, b.seed, b.moves)
 
 
 def _c4free_after_by_graph_ops(g, removed, added):
@@ -277,6 +296,104 @@ class TestSingleFlips:
         assert shared[True] and shared[False]
 
 
+def _flips(g, gens=None):
+    """The single flips of g in proposal order, as (edge, non-edge) pairs,
+    and the orbit root of each from _flip_orbits under gens, by default the
+    generators the canonizer proves on g."""
+    edges = list(g.edges())
+    ea, eb = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    k, u, v = _single_flips(spectral.to_numpy(g).astype(np.uint8), ea, eb)
+    flips = [(edges[e], (a, b)) for e, a, b in zip(k.tolist(), u.tolist(), v.tolist())]
+    return flips, _flip_orbits(_generators(g) if gens is None else gens, g.n, ea[k], eb[k], u, v)
+
+
+def _image(p, flip):
+    return tuple(tuple(sorted((p[a], p[b]))) for a, b in flip)
+
+
+def _padded(g, pad):
+    return Graph(g.n + pad, g.rows + (0,) * pad)
+
+
+class TestFlipOrbits:
+    def test_no_flips(self):
+        # m = 1: K_2 has no non-edge, so no flip and no candidate
+        g = make_star(2)
+        flips, roots = _flips(g)
+        assert flips == [] and len(roots) == 0
+        cands = propose_moves(g, spectral_radius(g).vec)
+        assert len(cands) == len(cands.orbit) == 0
+
+    def test_asymmetric_graph_solves_every_candidate(self, monkeypatch):
+        # the spider with legs of 1, 2 and 3 edges has no automorphism but
+        # the identity: no generator, every candidate its own orbit, and
+        # every candidate of a range solved
+        g = Graph.from_edges(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
+        assert len(_generators(g)) == 0
+        cands = propose_moves(g, spectral_radius(g).vec)
+        assert len(cands) > 1 and np.array_equal(cands.orbit, np.arange(len(cands)))
+        radii, solved = search.spectral_radii, []
+
+        def counting(stack):
+            solved.append(len(stack))
+            return radii(stack)
+
+        monkeypatch.setattr(search, "spectral_radii", counting)
+        _best_improving(SearchState(current=g, mu=math.inf, seed=0), cands, 0, len(cands))
+        assert sum(solved) == len(cands)
+
+    def test_a_map_that_is_no_automorphism_raises(self):
+        # swapping the end and the inner vertex of a path maps the flip
+        # (01 -> 02) onto (01 -> 12), and 12 is an edge
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        assert ((0, 1), (0, 2)) in _flips(g)[0]
+        with pytest.raises(RuntimeError):
+            _flips(g, np.array([[1, 0, 2, 3]]))
+
+    def test_orbit_labels_on_random_graphs(self, rng):
+        # each candidate is labelled by the first member of its orbit: an
+        # earlier or the same single flip, whose rewired graph is isomorphic
+        # to its own and of the same mu; a relocation labels itself
+        relocations = merged = 0
+        for _ in range(60):
+            g = random_c4free_graph(rng.randint(2, 10), rng)
+            cands = propose_moves(g, spectral_radius(g).vec)
+            mus = spectral_radii(cands.stack(np.arange(len(cands))))
+            for i, first in enumerate(cands.orbit.tolist()):
+                mv = cands.move(i)
+                if len(mv.removed) > 1:
+                    relocations += 1
+                    assert first == i
+                    continue
+                assert first <= i and cands.orbit[first] == first and len(cands.move(first).removed) == 1
+                if first < i:
+                    merged += 1
+                    assert abs(mus[i] - mus[first]) <= 1e-13
+                    gi, gf = (nx.from_numpy_array(spectral.to_numpy(cands.move(c).apply(g))) for c in (i, first))
+                    assert nx.is_isomorphic(gi, gf)
+        assert relocations and merged
+
+    @pytest.mark.parametrize(
+        "g",
+        [_padded(make_star(s), n - s) for n in (5, 6, 7) for s in range(3, n + 1)]
+        + [make_snk(n, k) for n in (4, 5, 6, 7) for k in range(1, (n - 1) // 2 + 1)],
+        ids=graph6.encode,
+    )
+    def test_orbits_against_the_full_group(self, g):
+        # the full automorphism group, over all permutations of the vertices:
+        # the orbits found are no coarser than its orbits, and each flip is
+        # merged only with an image of itself
+        edges = set(g.edges())
+        group = [
+            p for p in itertools.permutations(range(g.n)) if {tuple(sorted((p[a], p[b]))) for a, b in edges} == edges
+        ]
+        flips, roots = _flips(g)
+        true_orbits = {frozenset(_image(p, f) for p in group) for f in flips}
+        assert len(set(roots.tolist())) >= len(true_orbits)
+        for f, r in zip(flips, roots.tolist()):
+            assert f in {_image(p, flips[r]) for p in group}
+
+
 class TestRandomStart:
     def test_edge_count_and_c4free(self, rng):
         for m in (1, 4, 9, 13):
@@ -335,6 +452,8 @@ class TestHillClimb:
         g = make_star(4)
         st = SearchState(current=g, mu=spectral_radius(g).mu, seed=0)
         cands = propose_moves(g, spectral_radius(g).vec)
+        # the star's flips are one orbit; label each candidate its own
+        cands = dataclasses.replace(cands, orbit=np.arange(len(cands)))
         assert len(cands) >= 2
         for gap, winner in ((0.0, 0), (1e-13, 0), (1e-11, 1)):
             monkeypatch.setattr(search, "spectral_radii", lambda stack: np.array([5.0, 5.0 + gap]))
@@ -358,18 +477,46 @@ class TestHillClimb:
         assert (a.mu, a.current, a.seed, a.moves) == (b.mu, b.current, b.seed, b.moves)
         assert sizes and max(sizes) <= 7
 
-    def test_every_candidate_is_solved(self, monkeypatch):
+    def test_one_candidate_per_orbit_is_solved(self, monkeypatch):
         # search --m 14 --restarts 2 --seed 1, the benchmark's climb, solves
-        # 5,350 candidate matrices: the candidates are not pruned
-        radii, solved = search.spectral_radii, []
+        # 605 of its 5,350 scanned candidates, the first of each orbit in each
+        # scanned range. Each skipped candidate rewires the graph into one
+        # isomorphic to that of an earlier solved candidate of its range, of
+        # the same mu
+        scan, radii = search._best_improving, search.spectral_radii
+        stack, solved, scans = search.Candidates.stack, [], []
 
-        def counting(stack):
-            solved.append(len(stack))
-            return radii(stack)
+        def recording_stack(cands, idx):
+            solved[-1].extend(idx.tolist())
+            return stack(cands, idx)
 
+        def recording_scan(state, cands, lo, hi):
+            solved.append([])
+            scans.append((state.current, cands, lo, hi))
+            return scan(state, cands, lo, hi)
+
+        def counting(st):
+            counted.append(len(st))
+            return radii(st)
+
+        counted = []
+        monkeypatch.setattr(search.Candidates, "stack", recording_stack)
+        monkeypatch.setattr(search, "_best_improving", recording_scan)
         monkeypatch.setattr(search, "spectral_radii", counting)
         hill_climb(14, restarts=2, seed=1)
-        assert sum(solved) == 5350
+        assert sum(counted) == sum(map(len, solved)) == 605
+        assert sum(hi - lo for _, _, lo, hi in scans) == 5350
+        for (g, cands, lo, hi), done in zip(scans, solved):
+            mus = radii(stack(cands, np.arange(lo, hi)))
+            done = set(done)
+            assert done <= set(range(lo, hi))
+            for j in set(range(lo, hi)) - done:
+                # the first member of j's orbit in the range is the one solved
+                i = lo + int(np.flatnonzero(cands.orbit[lo:hi] == cands.orbit[j])[0])
+                assert i < j and i in done
+                assert abs(mus[i - lo] - mus[j - lo]) <= 1e-13
+                gi, gj = (nx.from_numpy_array(spectral.to_numpy(cands.move(c).apply(g))) for c in (i, j))
+                assert nx.is_isomorphic(gi, gj)
 
     def test_smallest_sizes(self):
         # m = 1 has no candidate; at m = 2 no candidate has positive

@@ -202,7 +202,7 @@ def candidate_stacks():
         g = random_c4free_graph(rng.randint(2, 9), rng)
         cands = propose_moves(g, spectral_radius(g).vec)
         moves = [cands.move(i) for i in range(len(cands))]
-        out.append((g, moves, cands.stack(0, len(cands))))
+        out.append((g, moves, cands.stack(np.arange(len(cands)))))
     return out
 
 
