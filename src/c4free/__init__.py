@@ -2,7 +2,18 @@
 Spectral extremal toolkit for C4-free graphs: compact bitrow graphs,
 Perron-root computation, isomorphism-free enumeration, bound verification
 with machine-checkable certificates, and eigenvector-guided search.
+
+OpenBLAS runs one thread unless the caller set OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS or OMP_NUM_THREADS: every matrix here has order at most
+m + 1, and an idle pool spins a core (no effect if numpy was imported first).
 """
+
+import os
+
+# Before any submodule imports numpy, and left set so worker processes
+# inherit it.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .canon import canonical_form, canonical_labeling
 from .graph import (

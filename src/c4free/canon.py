@@ -29,9 +29,10 @@ Two shortcuts leave every byte of output as the full search makes it:
 The search proves automorphisms on the way: one per leaf equal to the
 best, and the swap of the first vertex of each skipped twin cell with each
 other vertex of it. canonical_form hands them to a caller that asks; they
-generate a subgroup of Aut(g), not always all of it. The twin swaps take
-no part in the orbit pruning, so the search visits what it visited
-without them.
+generate a subgroup of Aut(g), not always all of it. The transpositions
+among them are cut to a spanning forest of the pairs they swap, n - 1 at
+most, which generates the same group. The twin swaps take no part in the
+orbit pruning, so the search visits what it visited without them.
 
 The resulting byte string is identical for isomorphic graphs and distinct
 otherwise.
@@ -93,12 +94,34 @@ class _Canonizer:
         return n.to_bytes(2, "big") + self.best_bits.to_bytes((nbits + 7) // 8 or 1, "big")
 
     def automorphisms(self) -> List[Automorphism]:
-        """The leaf generators, then one transposition per twin swap."""
-        out = list(self.gens)
-        for a, b in self.twin_swaps:
-            p = list(range(self.n))
-            p[a], p[b] = b, a
-            out.append(tuple(p))
+        """The leaf generators that are not transpositions, then the
+        transpositions that join two trees of a forest over the vertices:
+        the leaf generators that are one, then the twin swaps. The
+        transpositions of a spanning forest generate the symmetric group on
+        each tree, as all of them do, so the group is the same."""
+        n = self.n
+        out: List[Automorphism] = []
+        swaps: List[Tuple[int, int]] = []
+        for p in self.gens:
+            moved = [v for v, w in enumerate(p) if v != w]
+            if len(moved) == 2:
+                swaps.append((moved[0], moved[1]))
+            else:
+                out.append(p)
+        root = list(range(n))
+
+        def find(v: int) -> int:
+            while root[v] != v:
+                root[v] = v = root[root[v]]
+            return v
+
+        for a, b in swaps + list(self.twin_swaps):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                root[ra] = rb
+                swap = list(range(n))
+                swap[a], swap[b] = b, a
+                out.append(tuple(swap))
         return out
 
     def _refine(self, partition: List[int], queue: Optional[List[int]] = None) -> List[int]:

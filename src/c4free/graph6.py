@@ -39,6 +39,8 @@ def decode(s: str) -> Graph:
         if not 0 <= val < 64:
             raise GraphError(f"invalid graph6 character {ch!r}")
         bits.extend(val >> k & 1 for k in range(5, -1, -1))
+    if any(bits[n * (n - 1) // 2 :]):
+        raise GraphError(f"graph6 padding bits of {s!r} are not zero")
     edges = []
     i = 0
     for v in range(n):

@@ -163,29 +163,10 @@ def _single_flips(adjacency: np.ndarray, ea: np.ndarray, eb: np.ndarray) -> Tupl
 
 
 def _generators(g: Graph) -> np.ndarray:
-    """The automorphisms canonical_form proves on g, as a (G, n) array, with
-    its transpositions (the twin swaps, and any leaf generator that is one)
-    cut to a spanning forest of the vertex pairs they swap. The transpositions
-    of a forest generate the symmetric group on each of its trees, as all of
-    them do, so the group is the same."""
+    """The automorphisms canonical_form proves on g, as a (G, n) array."""
     autos: List[Tuple[int, ...]] = []
     canonical_form(g, automorphisms=autos)
-    gens = np.array(autos, dtype=np.intp).reshape(-1, g.n)
-    moved = gens != np.arange(g.n)
-    root = list(range(g.n))
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = v = root[root[v]]
-        return v
-
-    keep = moved.sum(axis=1) != 2
-    for t in np.flatnonzero(~keep).tolist():
-        a, b = (find(v) for v in np.flatnonzero(moved[t]).tolist())
-        if a != b:
-            root[a] = b
-            keep[t] = True
-    return gens[keep]
+    return np.array(autos, dtype=np.intp).reshape(-1, g.n)
 
 
 def _flip_orbits(gens: np.ndarray, n: int, a: np.ndarray, b: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -180,6 +180,37 @@ def test_automorphisms_include_twin_swaps():
     assert orbit == set(range(1, 9))
 
 
+def _transpositions(found):
+    moved = [tuple(v for v, w in enumerate(p) if v != w) for p in found]
+    return [pair for pair in moved if len(pair) == 2]
+
+
+def test_twin_swaps_cut_to_a_spanning_forest():
+    # K_{1,14}: its 14 leaves are twins, swapped in 91 pairs; 13
+    # transpositions, a tree on the leaves, generate the same group
+    found = _assert_automorphisms(make_star(15))
+    swaps = _transpositions(found)
+    assert len(found) == len(swaps) == 13
+    assert {v for pair in swaps for v in pair} == set(range(1, 15))
+
+
+def test_transpositions_form_a_forest(rng):
+    # no transposition handed back closes a cycle of the ones before it
+    seen = 0
+    for _ in range(300):
+        found = _assert_automorphisms(random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.8)))
+        root = list(range(12))
+        for a, b in _transpositions(found):
+            seen += 1
+            while root[a] != a:
+                a = root[a]
+            while root[b] != b:
+                b = root[b]
+            assert a != b
+            root[a] = b
+    assert seen
+
+
 def test_matches_reference_on_enumerated_graphs():
     # m = 9: with orbit pruning, m = 8 makes too few graphs for the bound
     seen = _enumeration_children(9)

@@ -122,6 +122,12 @@ def test_search_m1(capsys):
     assert json.loads(out)["mu"] == pytest.approx(1.0, abs=1e-12)
 
 
+SEARCH_M14 = (3.741657386773941, "N?????????????~~_?G", 1000003)  # mu, graph6, seed
+SEARCH_M14_MOVES_SHA = "39838adf51315dea7f0f58fab80182eb482d8505f48294433939bbf804d17ccb"
+TH1_M9_STDOUT_SHA = "4019fe728ae76148cf7954040192a47dfac813474f6df93becb62e98c7d81d02"
+TH1_M9_CSV_SHA = "c37165f9568cef1c4e68576af0d0e3b1d2c856691253a2cbcc55fd31e8fd28d8"
+
+
 def test_search_m14_golden(capsys, tmp_path):
     # the benchmark's search workload: a change to the climb order, the
     # candidate set or the acceptance rule changes these values
@@ -129,12 +135,9 @@ def test_search_m14_golden(capsys, tmp_path):
     code, out = run(capsys, "search", "--m", "14", "--restarts", "2", "--seed", "1", "--output", str(moves))
     assert code == 0
     payload = json.loads(out)
-    assert payload["mu"] == 3.741657386773941
-    assert payload["graph6"] == "N?????????????~~_?G"
-    assert payload["seed"] == 1000003
+    assert (payload["mu"], payload["graph6"], payload["seed"]) == SEARCH_M14
     assert len(payload["moves"]) == 10
-    digest = hashlib.sha256(moves.read_bytes()).hexdigest()
-    assert digest == "39838adf51315dea7f0f58fab80182eb482d8505f48294433939bbf804d17ccb"
+    assert hashlib.sha256(moves.read_bytes()).hexdigest() == SEARCH_M14_MOVES_SHA
 
 
 def test_th1_m9_golden(capsys, tmp_path):
@@ -145,8 +148,8 @@ def test_th1_m9_golden(capsys, tmp_path):
     records = tmp_path / "th1.csv"
     code, out = run(capsys, "verify-th1", "--m", "9", "--format", "csv", "--workers", "1", "--output", str(records))
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == "4019fe728ae76148cf7954040192a47dfac813474f6df93becb62e98c7d81d02"
-    assert hashlib.sha256(records.read_bytes()).hexdigest() == "c37165f9568cef1c4e68576af0d0e3b1d2c856691253a2cbcc55fd31e8fd28d8"
+    assert hashlib.sha256(out.encode()).hexdigest() == TH1_M9_STDOUT_SHA
+    assert hashlib.sha256(records.read_bytes()).hexdigest() == TH1_M9_CSV_SHA
     code, out = run(capsys, "enumerate", "--m", "8")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == "747ad85f41aa8e29b449e79e7b8c7c528c299ee01b4411d9b95cad20b8b3fa7b"
@@ -380,6 +383,54 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     probe = "import sys, c4free.cli; print('concurrent.futures.process' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
     assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_env(**set_vars):
+    # this process imported c4free, so its environment carries the default
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    return {**env, "PYTHONPATH": str(Path(c4free.__file__).resolve().parent.parent), **set_vars}
+
+
+def test_cli_import_runs_one_blas_thread():
+    # numpy's OpenBLAS pool would start a second thread that spins a core
+    if not Path("/proc/self/task").is_dir():
+        pytest.skip("no /proc/self/task to count threads in")
+    probe = "import os, c4free.cli; print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
+    done = subprocess.run([sys.executable, "-c", probe], env=_blas_env(), capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "1 1\n"), done.stderr
+
+
+@pytest.mark.parametrize("variable", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_caller_blas_threads_left_as_given(variable):
+    probe = "import json, os, c4free.cli; print(json.dumps({k: os.environ.get(k) for k in %r}))" % (BLAS_THREAD_VARIABLES,)
+    done = subprocess.run([sys.executable, "-c", probe], env=_blas_env(**{variable: "2"}), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {k: "2" if k == variable else None for k in BLAS_THREAD_VARIABLES}
+
+
+def test_goldens_hold_at_two_blas_threads(tmp_path):
+    # a caller who overrides the one-thread default gets the same bytes
+    env = _blas_env(OPENBLAS_NUM_THREADS="2")
+    cli = [sys.executable, "-m", "c4free.cli"]
+    records = tmp_path / "th1.csv"
+    done = subprocess.run(
+        cli + ["verify-th1", "--m", "9", "--format", "csv", "--workers", "1", "--output", str(records)],
+        env=env, capture_output=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == TH1_M9_STDOUT_SHA
+    assert hashlib.sha256(records.read_bytes()).hexdigest() == TH1_M9_CSV_SHA
+    moves = tmp_path / "moves.json"
+    done = subprocess.run(
+        cli + ["search", "--m", "14", "--restarts", "2", "--seed", "1", "--output", str(moves)], env=env, capture_output=True
+    )
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(done.stdout)
+    assert (payload["mu"], payload["graph6"], payload["seed"]) == SEARCH_M14
+    assert hashlib.sha256(moves.read_bytes()).hexdigest() == SEARCH_M14_MOVES_SHA
 
 
 def test_verify_th2_flags_extra_equalities(capsys):

@@ -42,6 +42,10 @@ def test_bad_input():
         graph6.decode("")
     with pytest.raises(GraphError):
         graph6.decode("D")  # truncated body
+    # "B`" is "B_" with a padding bit set: one graph, one string
+    assert graph6.decode("B_") == Graph.from_edges(3, [(0, 1)])
+    with pytest.raises(GraphError, match="padding"):
+        graph6.decode("B`")
 
 
 @pytest.mark.parametrize("s", ["~", "~?", "~??", "~~", "~~?", "~~?????"])
