@@ -109,7 +109,8 @@ def _srg_table(args) -> int:
 def _snk(args) -> int:
     mu = snk_mu(args.n, args.k)
     coeffs, _ = snk_cubic(args.n, args.k)
-    print(json.dumps({"n": args.n, "k": args.k, "mu": mu, "cubic": list(coeffs)}, indent=2))
+    cubic = list(coeffs) if args.n > 1 else None  # K_1 has no cubic factor (see snk_mu)
+    print(json.dumps({"n": args.n, "k": args.k, "mu": mu, "cubic": cubic}, indent=2))
     return 0
 
 

@@ -21,6 +21,9 @@ labels is least; it is defined up to an automorphism, so the graph minus
 its canonical edge is one class, its canonical parent. A child, parent
 plus f, is kept if and only if its canonical parent is that parent:
 
+- if a deletable edge of the parent, disjoint from f, has a larger
+  degree pair than f has in the child, it is never built: that edge keeps
+  its degrees and stays deletable in the child (see _beaten_in);
 - if a deletable edge has a larger invariant than f, it is dropped
   before any canonical form is computed;
 - otherwise it is canonized, and kept if f is the only deletable edge of
@@ -48,7 +51,8 @@ pieces are the connected classes with 1..m edges and their sizes are edge
 counts; by order they are the connected classes on at most n vertices, K_1
 included, and their sizes are vertex counts. Streams come in the order of
 the composer: multisets in a fixed order of the pieces (size, then
-canonical form), the connected classes last.
+canonical form), the connected classes last. On request a stream hands
+each union over with its pieces, so the verify folds solve the pieces.
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ MAX_ORDER = 10
 Autos = Tuple[Automorphism, ...]
 Edge = Tuple[int, int]  # (u, v) with u < v
 Level = Dict[bytes, Tuple[Graph, Autos]]  # canonical form -> (class, automorphisms proved on it)
+Beaten = Callable[[int, int, int], bool]  # see _beaten_in
 _P = TypeVar("_P")
 
 
@@ -86,30 +91,35 @@ def _check_request(what: str, size: int, cap: int, k: int, workers: int, cap_ove
         raise CapExceeded(f"{what} size {size} exceeds cap {cap}; pass cap_override (CLI: --force) to proceed")
 
 
-def enumerate_c4free_by_edges(m: int, workers: int = 1, cap_override: bool = False) -> Iterator[Graph]:
+def enumerate_c4free_by_edges(
+    m: int, workers: int = 1, cap_override: bool = False, *, with_pieces: bool = False
+) -> Iterator:
     """One representative per isomorphism class of C4-free graphs with m
     edges and no isolated vertices, in the deterministic order of the
-    composer (see the module docstring)."""
+    composer (see the module docstring). With with_pieces, each item is the
+    graph and its connected pieces in layout order (see _unions)."""
     _check_request("by-edges", m, MAX_EDGES, 1, workers, cap_override)
     levels = islice(_levels(1, m + 1, workers), 1, m + 1)
-    yield from _unions(_pieces(levels, lambda g: g.m), m)
+    yield from _unions(_pieces(levels, lambda g: g.m), m, with_pieces)
 
 
-def enumerate_c4free_by_order(n: int, workers: int = 1, cap_override: bool = False) -> Iterator[Graph]:
+def enumerate_c4free_by_order(
+    n: int, workers: int = 1, cap_override: bool = False, *, with_pieces: bool = False
+) -> Iterator:
     """One representative per isomorphism class of C4-free graphs on exactly
     n vertices (isolated vertices permitted, as K_1 components laid out
     last), in the deterministic order of the composer (see the module
     docstring); the edgeless graph comes first."""
-    yield from enumerate_kfree_by_order(n, 1, workers, cap_override)
+    yield from enumerate_kfree_by_order(n, 1, workers, cap_override, with_pieces=with_pieces)
 
 
 def enumerate_kfree_by_order(
-    n: int, k: int, workers: int = 1, cap_override: bool = False
-) -> Iterator[Graph]:
+    n: int, k: int, workers: int = 1, cap_override: bool = False, *, with_pieces: bool = False
+) -> Iterator:
     """One representative per isomorphism class of K_{2,k+1}-free graphs on
     exactly n vertices, in the order of enumerate_c4free_by_order."""
     _check_request("by-order", n, MAX_ORDER, k, workers, cap_override)
-    yield from _unions(_pieces(_levels(k, n, workers), lambda g: g.n), n)
+    yield from _unions(_pieces(_levels(k, n, workers), lambda g: g.n), n, with_pieces)
 
 
 def _pieces(levels: Iterable[Level], size: Callable[[Graph], int]) -> List[Tuple[int, Graph]]:
@@ -119,19 +129,22 @@ def _pieces(levels: Iterable[Level], size: Callable[[Graph], int]) -> List[Tuple
     return [(s, g) for (s, _), g in keyed]
 
 
-def _unions(pieces: List[Tuple[int, Graph]], total: int) -> Iterator[Graph]:
-    """One disjoint union per multiset of pieces whose sizes sum to total.
-    pieces are (size, graph) pairs by ascending size, in a fixed order; a
-    multiset takes its members in that order, and its union lays them out
-    in reverse, so the largest comes first and isolated vertices last."""
+def _unions(pieces: List[Tuple[int, Graph]], total: int, with_pieces: bool) -> Iterator:
+    """One disjoint union per multiset of pieces whose sizes sum to total,
+    if with_pieces paired with its members in layout order. pieces are
+    (size, graph) pairs by ascending size, in a fixed order; a multiset
+    takes its members in that order, and its union lays them out in
+    reverse, so the largest comes first and isolated vertices last."""
 
-    def grow(start: int, rest: int, chosen: Tuple[Graph, ...]) -> Iterator[Graph]:
+    def grow(start: int, rest: int, chosen: Tuple[Graph, ...]) -> Iterator:
         if not rest:
+            layout = chosen[::-1]
             rows: Tuple[int, ...] = ()
-            for g in reversed(chosen):
+            for g in layout:
                 shift = len(rows)
                 rows += tuple(r << shift for r in g.rows)
-            yield Graph._unchecked(len(rows), rows)
+            union = Graph._unchecked(len(rows), rows)
+            yield (union, layout) if with_pieces else union
             return
         for i in range(start, len(pieces)):
             size, g = pieces[i]
@@ -187,11 +200,33 @@ def _pair_image(p: Automorphism, pair: Edge) -> Edge:
     return (a, b) if a < b else (b, a)
 
 
-def _extend_fixed_order(g: Graph, k: int, autos: Autos) -> List[Tuple[Graph, Edge]]:
-    """One-edge extensions between present vertices that stay K_{2,k+1}-free,
-    one per orbit of non-edges under autos (automorphisms of g), each with
-    its added edge."""
-    non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+def _beaten_in(g: Graph) -> Beaten:
+    """beaten(ends, a, b): whether a deletable edge of g (see _tied_edges),
+    disjoint from the mask ends, has a larger degree pair than the edge
+    with degrees a and b. Adding an edge on ends leaves such an edge its
+    degrees and deletable, so _tied_edges would drop the child."""
+    deg = [r.bit_count() for r in g.rows]
+    deletable = [(a, b) for a, b in g.edges() if deg[a] == 1 or deg[b] == 1 or _on_cycle(g.rows, a, b)]
+    # (degree pair, larger first; mask of the edge's ends), largest first
+    pairs = sorted(((max(deg[a], deg[b]), min(deg[a], deg[b])), 1 << a | 1 << b) for a, b in deletable)[::-1]
+
+    def beaten(ends: int, a: int, b: int) -> bool:
+        pair = (a, b) if a >= b else (b, a)
+        for p, mask in pairs:  # up to the first edge that does not beat f or is disjoint from it
+            if p <= pair or not mask & ends:
+                return p > pair
+        return False
+
+    return beaten
+
+
+def _extend_fixed_order(g: Graph, k: int, autos: Autos, beaten: Beaten) -> List[Tuple[Graph, Edge]]:
+    """One-edge extensions between present vertices that stay K_{2,k+1}-free
+    and are not beaten (beaten is _beaten_in(g)), one per orbit of
+    non-edges under autos (automorphisms of g), each with its added edge."""
+    deg = [r.bit_count() + 1 for r in g.rows]  # in the child
+    non_edges = [(u, v) for u, r in enumerate(g.rows) for v in _bits(~r & ((1 << g.n) - (2 << u)))]
+    non_edges = [(u, v) for u, v in non_edges if not beaten(1 << u | 1 << v, deg[u], deg[v])]
     return [
         (g.add_edge(u, v), (u, v))
         for u, v in _orbit_firsts(non_edges, autos, _pair_image)
@@ -199,15 +234,16 @@ def _extend_fixed_order(g: Graph, k: int, autos: Autos) -> List[Tuple[Graph, Edg
     ]
 
 
-def _extend_by_edges(g: Graph, max_n: int, autos: Autos) -> List[Tuple[Graph, Edge]]:
+def _extend_by_edges(g: Graph, max_n: int, autos: Autos, beaten: Beaten) -> List[Tuple[Graph, Edge]]:
     """One-edge extensions that add a vertex, within max_n vertices: a
-    pendant edge to a fresh vertex, which cannot create a K_{2,k+1}; one
-    per orbit of vertices under autos (automorphisms of g), each with its
-    added edge."""
+    pendant edge to a fresh vertex, which cannot create a K_{2,k+1}, if not
+    beaten (as for _extend_fixed_order); one per orbit of vertices under
+    autos (automorphisms of g), each with its added edge."""
     if g.n + 1 > max_n:
         return []
+    ends = [u for u, r in enumerate(g.rows) if not beaten(1 << u, r.bit_count() + 1, 1)]
     grown = Graph._unchecked(g.n + 1, g.rows + (0,))
-    return [(grown.add_edge(u, g.n), (u, g.n)) for u in _orbit_firsts(range(g.n), autos, getitem)]
+    return [(grown.add_edge(u, g.n), (u, g.n)) for u in _orbit_firsts(ends, autos, getitem)]
 
 
 def _on_cycle(rows: Tuple[int, ...], a: int, b: int) -> bool:
@@ -328,7 +364,8 @@ def _children_chunk(args: Tuple[List[Tuple[bytes, Tuple[Graph, Autos]]], int, in
         # a class is kept from this parent or not, whichever of its children
         # comes first: only the first is judged
         judged: Set[bytes] = set()
-        for child, f in _extend_fixed_order(g, k, autos) + _extend_by_edges(g, max_n, autos):
+        beaten = _beaten_in(g)
+        for child, f in _extend_fixed_order(g, k, autos, beaten) + _extend_by_edges(g, max_n, autos, beaten):
             tied = _tied_edges(child, f)
             if tied is None:
                 continue

@@ -6,23 +6,27 @@ n <= 64, but the long forms cost nothing).
 
 from __future__ import annotations
 
+from binascii import b2a_base64
+
 from .graph import Graph, GraphError
 
 
+_REVERSED = bytes(int(f"{x:08b}"[::-1], 2) for x in range(256))
+_BASE64_TO_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
+)
+
+
 def encode(g: Graph) -> str:
-    bits = []
-    for v in range(g.n):
-        for u in range(v):
-            bits.append(g.rows[u] >> v & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = []
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i : i + 6]:
-            val = val << 1 | b
-        chars.append(chr(val + 63))
-    return _encode_n(g.n) + "".join(chars)
+    # the upper triangle, column v being bits 0..v-1 of rows[v], as one int
+    # whose bit i is bit i of the body; its bytes, each bit-reversed, read
+    # first bit first, and base64 cuts them into 6-bit groups
+    bits = width = 0
+    for v, r in enumerate(g.rows):
+        bits |= (r & ((1 << v) - 1)) << width
+        width += v
+    data = bits.to_bytes((width + 23) // 24 * 3, "little").translate(_REVERSED)
+    return _encode_n(g.n) + b2a_base64(data, newline=False)[: (width + 5) // 6].translate(_BASE64_TO_GRAPH6).decode()
 
 
 def decode(s: str) -> Graph:

@@ -4,10 +4,12 @@ Perron root computation and the closed-form spectral radius of S_{n,k}.
 Every eigensolve goes through one core, `_top_pairs`: a dense symmetric
 eigensolve (LAPACK, through numpy.linalg.eigh) of a stack of matrices, with
 the residual of each top eigenpair held to DEFAULT_TOL.
-`spectral_radius_stream` solves the graphs of a stream by components: it
-reads a block of graphs ahead, solves each distinct component of the block
-once, stacking the components of one order, and assembles each graph's
-result from its components; `spectral_radius` is its one-graph case.
+One solve serves every stream of graphs: it reads a block ahead, solves
+each distinct piece of the block once, stacking the pieces of one order,
+and takes each graph's mu and residual as the largest over its pieces.
+`union_radii` is handed the pieces of each disjoint union, and builds a
+Perron vector only when asked; `spectral_radius_stream` splits arbitrary
+graphs into components, and `spectral_radius` is its one-graph case.
 `spectral_radii` solves a stack of whole adjacency matrices: the top
 eigenvalue of a graph's adjacency matrix is its spectral radius
 (Perron-Frobenius), so mu alone needs no split into components.
@@ -19,8 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Iterator
+from functools import partial
+from itertools import accumulate, islice
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,7 +33,7 @@ DEFAULT_TOL = 1e-12
 
 RADII_CHUNK = 64  # matrices per stacked eigensolve, and per stack the climb builds; bounds their memory
 
-STREAM_BLOCK = 512  # graphs read ahead by spectral_radius_stream; bounds its cache
+STREAM_BLOCK = 512  # graphs read ahead by each stream's solve; bounds its cache
 
 INV_SQRT2 = 2.0 ** -0.5
 
@@ -88,47 +91,67 @@ def spectral_radius(g: Graph) -> SpectralResult:
     return next(spectral_radius_stream([g]))[1]
 
 
+_Pieces = list[tuple[Sequence[int], tuple[int, ...]]]  # per piece: its vertices, its bitrows relabelled 0..k-1
+
+
+class Radius(NamedTuple):
+    """mu of a graph, the largest residual over its pieces and the pieces
+    with an edge; perron() builds its unit Perron vector."""
+
+    mu: float
+    residual: float
+    iters: int
+    perron: Callable[[], np.ndarray]
+
+
 def spectral_radius_stream(graphs: Iterable[Graph]) -> Iterator[tuple[Graph, SpectralResult]]:
-    """(graph, its SpectralResult) for each graph of a stream, in order.
+    """(graph, its SpectralResult) for each graph of a stream, in order:
+    the solve of `union_radii`, over the connected components of each
+    graph, each keyed by its bitrows relabelled 0..k-1 in vertex order."""
+    for g, r in _radii((g, _components(g)) for g in graphs):
+        yield g, SpectralResult(mu=r.mu, vec=r.perron(), residual=r.residual, iters=r.iters)
 
-    The stream is read STREAM_BLOCK graphs ahead. Each component of two or
-    more vertices is keyed by its bitrows relabelled 0..k-1 in vertex order,
-    and each distinct key of a block is solved once, the keys of one order
-    stacked through `_top_pairs`. A graph's vector is supported on the first
-    component achieving the maximum and zero elsewhere; its residual is the
-    largest over its components and `iters` counts its components with an
-    edge. The cache lives for one block only, so memory does not grow with
-    the stream.
-    """
-    it = iter(graphs)
+
+def union_radii(unions: Iterable[tuple[Graph, Sequence[Graph]]]) -> Iterator[tuple[Graph, Radius]]:
+    """(union, its Radius) for each disjoint union of a stream, given with
+    its connected pieces in layout order. mu and the residual are the
+    largest over the pieces, the first largest mu winning, and the Perron
+    vector is supported on that piece and zero elsewhere."""
+
+    def layout(pieces: Sequence[Graph]) -> _Pieces:
+        ends = accumulate(p.n for p in pieces)
+        return [(range(end - p.n, end), p.rows) for end, p in zip(ends, pieces)]
+
+    yield from _radii((g, layout(pieces)) for g, pieces in unions)
+
+
+def _components(g: Graph) -> _Pieces:
+    if g.n < 1:
+        raise ValueError("graph must have at least one vertex")
+    out = []
+    for comp in g.components():
+        if comp[-1] - comp[0] + 1 == len(comp):  # a run of vertices: relabelling is a shift
+            out.append((comp, tuple(g.rows[v] >> comp[0] for v in comp)))
+            continue
+        pos = {v: i for i, v in enumerate(comp)}
+        out.append((comp, tuple(sum(1 << pos[u] for u in _bits(g.rows[v])) for v in comp)))
+    return out
+
+
+def _radii(items: Iterable[tuple[Graph, _Pieces]]) -> Iterator[tuple[Graph, Radius]]:
+    it = iter(items)
     while block := list(islice(it, STREAM_BLOCK)):
-        yield from zip(block, _solve_block(block))
+        yield from zip((g for g, _ in block), _solve_block(block))
 
 
-def _solve_block(block: list[Graph]) -> list[SpectralResult]:
-    """The SpectralResult of each graph of a block, from one solve per
-    distinct component."""
-    pieces = []  # per graph: (vertices, key) per component, key None for K_1
-    keys: dict[tuple[int, ...], None] = {}  # distinct keys, in first-seen order
-    for g in block:
-        if g.n < 1:
-            raise ValueError("graph must have at least one vertex")
-        comps = []
-        for comp in g.components():
-            key = None
-            if len(comp) > 1:
-                lo = comp[0]
-                if comp[-1] - lo + 1 == len(comp):  # a run of vertices: relabelling is a shift
-                    key = tuple(g.rows[v] >> lo for v in comp)
-                else:
-                    pos = {v: i for i, v in enumerate(comp)}
-                    key = tuple(sum(1 << pos[u] for u in _bits(g.rows[v])) for v in comp)
-                keys[key] = None
-            comps.append((comp, key))
-        pieces.append(comps)
-    by_order: dict[int, list[tuple[int, ...]]] = {}
-    for key in keys:
-        by_order.setdefault(len(key), []).append(key)
+def _solve_block(block: list[tuple[Graph, _Pieces]]) -> list[Radius]:
+    """The Radius of each graph of a block, from one solve per distinct
+    piece."""
+    by_order: dict[int, dict[tuple[int, ...], None]] = {}  # distinct keys, in first-seen order
+    for _, pieces in block:
+        for _, key in pieces:
+            if len(key) > 1:
+                by_order.setdefault(len(key), {})[key] = None
     solved = {}  # key -> (mu, Perron vector, residual)
     for k, same in by_order.items():
         # each key's rows as 0/1 matrix rows: bit j of row i is entry (i, j)
@@ -140,28 +163,22 @@ def _solve_block(block: list[Graph]) -> list[SpectralResult]:
             # the Perron vector of a connected component has one sign
             solved[key] = (float(mus[b]), np.abs(vecs[b]), float(res[b]))
     out = []
-    for g, comps in zip(block, pieces):
-        best_mu = -1.0
-        best: tuple[np.ndarray, list[int]] | None = None
-        residual = 0.0
-        solves = 0
-        for comp, key in comps:
-            if key is None:
-                mu, vec = 0.0, np.ones(1)
-            else:
-                mu, vec, r = solved[key]
-                residual = max(residual, r)
-                solves += 1
+    for g, pieces in block:
+        best_mu, best, residual, solves = -1.0, None, 0.0, 0
+        for verts, key in pieces:
+            mu, vec, r = solved[key] if len(key) > 1 else (0.0, None, 0.0)
+            residual = max(residual, r)
+            solves += len(key) > 1
             if mu > best_mu:
-                best_mu = mu
-                best = (vec, comp)
-        assert best is not None
-        vec, comp = best
-        full = np.zeros(g.n)
-        full[comp] = vec
-        full /= np.linalg.norm(full)
-        out.append(SpectralResult(mu=best_mu, vec=full, residual=residual, iters=solves))
+                best_mu, best = mu, (verts, vec)
+        out.append(Radius(best_mu, residual, solves, partial(_perron, g.n, *best)))
     return out
+
+
+def _perron(n: int, verts: Sequence[int], vec: np.ndarray | None) -> np.ndarray:
+    full = np.zeros(n)
+    full[verts] = 1.0 if vec is None else vec  # None for K_1
+    return full / np.linalg.norm(full)
 
 
 def spectral_radii(stack: np.ndarray) -> np.ndarray:
@@ -202,8 +219,11 @@ def xmin(n: int) -> float:
 
 def snk_mu(n: int, k: int) -> float:
     """mu(S_{n,k}) as the largest root of x^3 - x^2 - (n-1)x + n-1-2k,
-    by bisection on [xmin(n), n]."""
+    by bisection on [xmin(n), n]; 0 for S_{1,0} = K_1, whose polynomial x
+    has no cubic factor."""
     p = SnkParams(n, k)
+    if p.n == 1:
+        return 0.0
     _, f = snk_cubic(p.n, p.k)
     lo, hi = xmin(n), float(n)
     if f(lo) >= 0.0:

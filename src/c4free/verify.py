@@ -3,20 +3,22 @@ Fold bound checks over enumeration streams and classify equality cases.
 
 Every check is a spec (`_Check`: the stream, the quantity of mu that is
 checked, its bound, the equality classifier and the expected equality
-classes) run by one fold, `_fold`. Each graph in a stream yields a
-VerificationRecord from `spectral.spectral_radius_stream`, which solves
-each distinct component of a block of graphs once, stacked by order, with
-its residual held to `spectral.DEFAULT_TOL` (1e-12); a violation is only
-reported when the graph's residual is also within `DEFAULT_TOL / 10`, and
-equality is only claimed when one isomorphism test against S_{n,k}
-confirms the float coincidence.
+classes) run by one fold, `_fold`. The enumeration streams hand the fold
+each graph with its connected pieces, and each graph yields a
+VerificationRecord from `spectral.union_radii`: mu and the residual are
+the largest over the pieces, each distinct piece of a block of graphs
+solved once, stacked by order, with its residual held to
+`spectral.DEFAULT_TOL` (1e-12); the Perron vector is built only for a
+violation certificate. A violation is only reported when the graph's
+residual is also within `DEFAULT_TOL / 10`, and equality is only claimed
+when one isomorphism test against S_{n,k} confirms the float coincidence.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, FrozenSet, Iterable, List, Optional
+from typing import Callable, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import graph6, spectral
 from .canon import canonical_form
@@ -26,7 +28,7 @@ from .enumeration import (
     enumerate_kfree_by_order,
 )
 from .graph import Graph, SnkParams, make_snk
-from .spectral import spectral_radius_stream
+from .spectral import union_radii
 
 EQ_TOL = 1e-9
 
@@ -110,7 +112,7 @@ class _Check:
 
     check: str
     param: dict
-    graphs: Iterable[Graph]
+    graphs: Iterable[Tuple[Graph, Sequence[Graph]]]  # each with its connected pieces in layout order
     quantity: Callable[[float], float]
     bound: float
     # structural class of a record at the bound, None for no class; without
@@ -127,7 +129,7 @@ def _fold(spec: _Check, sink: RecordSink) -> VerifySummary:
     """Compare spec.quantity(mu) <= spec.bound for every graph, classify,
     aggregate into one summary."""
     summary = VerifySummary(spec.check, spec.param)
-    for g, r in spectral_radius_stream(spec.graphs):
+    for g, r in union_radii(spec.graphs):
         slack = spec.bound - spec.quantity(r.mu)
         if slack < -EQ_TOL and spec.above == VIOLATION and r.residual > spectral.DEFAULT_TOL / 10:
             # a violation needs a residual 10x tighter than the solve's own
@@ -143,7 +145,7 @@ def _fold(spec: _Check, sink: RecordSink) -> VerifySummary:
             cls = STRICT
         rec = VerificationRecord(graph6.encode(g), g.n, g.m, r.mu, spec.bound, slack, cls)
         if cls == VIOLATION:
-            summary.violations.append(ViolationCertificate(rec, [float(x) for x in r.vec]))
+            summary.violations.append(ViolationCertificate(rec, [float(x) for x in r.perron()]))
         elif cls != STRICT:
             summary.equalities.append(rec)
             if cls == EQ_UNEXPLAINED:
@@ -162,7 +164,7 @@ def _fold(spec: _Check, sink: RecordSink) -> VerifySummary:
 
 def _by_edges(check: str, m: int, workers: int, cap_override: bool = False, **spec) -> _Check:
     """mu <= sqrt(m) over the C4-free graphs with m edges."""
-    graphs = enumerate_c4free_by_edges(m, workers, cap_override)
+    graphs = enumerate_c4free_by_edges(m, workers, cap_override, with_pieces=True)
     return _Check(check, {"m": m}, graphs, lambda mu: mu, math.sqrt(m), **spec)
 
 
@@ -209,7 +211,7 @@ def verify_in3(
         p = snk_params(g)
         return EQ_FRIENDSHIP if p is not None and p.n == n == 2 * p.k + 1 else None
 
-    graphs = enumerate_c4free_by_order(n, workers, cap_override)
+    graphs = enumerate_c4free_by_order(n, workers, cap_override, with_pieces=True)
     return _fold(_Check("in3", {"n": n}, graphs, lambda mu: mu * mu - mu, float(n - 1), friendship), sink)
 
 
@@ -234,7 +236,7 @@ def verify_conjecture(
     def snk(g: Graph) -> Optional[str]:
         return EQ_SNK if snk_params(g) == SnkParams(n, n // 2 - 1) else None
 
-    graphs = (g for g in enumerate_c4free_by_order(n, workers, cap_override) if g.m)
+    graphs = ((g, p) for g, p in enumerate_c4free_by_order(n, workers, cap_override, with_pieces=True) if g.m)
     spec = _Check("conjecture", {"n": n}, graphs, lambda mu: mu**3 - mu**2 - (n - 1) * mu + 1.0, 0.0, snk)
     return _fold(spec, sink)
 
@@ -258,7 +260,7 @@ def verify_k2k1(
             return "equality-k-common"
         return None
 
-    graphs = enumerate_kfree_by_order(n, k, workers, cap_override)
+    graphs = enumerate_kfree_by_order(n, k, workers, cap_override, with_pieces=True)
     spec = _Check("k2k1", {"n": n, "k": k}, graphs, lambda mu: mu * mu - mu, float(k) * (n - 1), k_common)
     return _fold(spec, sink)
 

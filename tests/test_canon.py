@@ -9,6 +9,7 @@ from c4free.graph import Graph, make_friendship, make_snk, make_star
 from canon_reference import _Canonizer as _ReferenceCanonizer
 from canon_reference import _mask, reference_canon
 from conftest import random_graph
+from enumeration_reference import reference_extend_by_edges, reference_extend_fixed_order
 
 
 def test_p3_relabelings():
@@ -148,13 +149,14 @@ def _assert_automorphisms(g):
 
 
 def _enumeration_children(m):
-    """Every child the edge augmentation of enumerate --m m makes: the
-    graphs the canonizer meets in enumeration, before the canonical-parent
-    test decides which of them to canonize."""
+    """Every child the edge augmentation of enumerate --m m makes without
+    its parent-side prefilter (enumeration_reference): the graphs the
+    canonizer meets in enumeration, and the graphs of the same sizes that
+    the prefilter drops before they are built."""
     out = []
     for level in itertools.islice(enumeration._levels(1, m + 1, 1), m):
         for g, autos in level.values():
-            made = enumeration._extend_fixed_order(g, 1, autos) + enumeration._extend_by_edges(g, m + 1, autos)
+            made = reference_extend_fixed_order(g, 1, autos) + reference_extend_by_edges(g, m + 1, autos)
             out += [child for child, _ in made]
     return out
 

@@ -39,6 +39,13 @@ def test_snk_command(capsys):
     assert payload["cubic"] == [1, -1, -8, 6]
 
 
+def test_snk_command_order_one(capsys):
+    # S_{1,0} = K_1 is a valid S_{n,k}; it has no cubic factor
+    code, out = run(capsys, "snk", "--n", "1", "--k", "0")
+    assert code == 0
+    assert json.loads(out) == {"n": 1, "k": 0, "mu": 0.0, "cubic": None}
+
+
 def test_srg_table(capsys):
     code, out = run(capsys, "srg-table")
     assert code == 0
@@ -156,6 +163,55 @@ def test_th1_m9_golden(capsys, tmp_path):
     code, out = run(capsys, "enumerate", "--n", "8")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == "a37f6f1e3db95623e0814e7c802e84ae0b13bf9273e727605d01aeea17ca1ea2"
+
+
+# (argv, sha256 of stdout, of the --output file, of the --certificate file
+# or None), pinned before the enumeration prefilter and the piece-based
+# solve: records, classes and certificates must not move by one byte
+GOLDENS = [
+    (
+        ["verify-in3", "--n", "8", "--format", "csv"],
+        "fca9805b593aeb24b30f3cd26f90bf8297a23a341a58f2d2b7caa2f6c64d1aa7",
+        "10269b86b50e39eb884cdf1d9997e3ce8ac9e6d920872198d8ee51c43f9fb5fb",
+        None,
+    ),
+    (
+        ["verify-k2k1", "--n", "7", "--k", "2", "--format", "csv"],
+        "0a648d2787382a58e9c3ca2f65cb22eff704f235735b81c78cb68bed0d27a799",
+        "ebece325805c9d169c8b133cd81c300a5e89b8d6cd1f71d97661b21955cf1b0f",
+        None,
+    ),
+    (
+        ["verify-conjecture", "--n", "8", "--format", "csv"],
+        "9068bba357176f5c42068b3d7929dbba72707c7aabe5843fef65bb298edceb73",
+        "bcdf17f7f7fe56e21c1f783b02829f0902d378e4158b13e3bbd285508cc6df07",
+        None,
+    ),
+    (
+        ["verify-small-m", "--m", "8", "--format", "csv"],
+        "8788d508782e069c07afb0c7d717f15d65485a13aeb48664d78f94a7085c715e",
+        "99a13a5ed024b7f58e323a22abf06ed9f95556089412b91fcb1b0dab7b294278",
+        "57592ee17493cb29d07347ad8d0636c5a13d0fb430e8557b5e4574a9e62c9178",
+    ),
+    (
+        ["enumerate", "--m", "10"],
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "fd6e7020acf3aa4c37e9b0d4eede5e121dda15cdbdb9f2f1d877da6370c402d5",
+        None,
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, stdout_sha, output_sha, certificate_sha", [pytest.param(*g, id=" ".join(g[0])) for g in GOLDENS])
+def test_golden(argv, stdout_sha, output_sha, certificate_sha, capsys, tmp_path):
+    output, certificate = tmp_path / "output", tmp_path / "certificate"
+    extra = ["--certificate", str(certificate)] if certificate_sha else []
+    code, out = run(capsys, *argv, "--output", str(output), *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256(output.read_bytes()).hexdigest() == output_sha
+    if certificate_sha:
+        assert hashlib.sha256(certificate.read_bytes()).hexdigest() == certificate_sha
 
 
 def test_in3_n7_certificate_golden(capsys, tmp_path):

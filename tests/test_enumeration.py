@@ -31,6 +31,7 @@ from c4free.enumeration import (
     MAX_EDGES,
     MAX_ORDER,
     CapExceeded,
+    _beaten_in,
     _canonical_edge,
     _check_request,
     _extend_by_edges,
@@ -45,7 +46,7 @@ from c4free.enumeration import (
 )
 from c4free.graph import Graph
 from conftest import random_connected_graph
-from enumeration_reference import reference_levels
+from enumeration_reference import reference_extend_by_edges, reference_extend_fixed_order, reference_levels
 
 
 def _atlas_c4free():
@@ -270,7 +271,8 @@ def _first_child_per_class(g, k, max_n, autos):
     """Canonical form -> the first child of g in that class, with its added
     edge."""
     first = {}
-    for child, f in _extend_fixed_order(g, k, autos) + _extend_by_edges(g, max_n, autos):
+    beaten = _beaten_in(g)
+    for child, f in _extend_fixed_order(g, k, autos, beaten) + _extend_by_edges(g, max_n, autos, beaten):
         assert child.remove_edge(*f).rows[: g.n] == g.rows
         first.setdefault(canonical_form(child), (child, f))
     return first
@@ -317,7 +319,8 @@ def test_keeps_the_same_children_without_automorphisms():
     by_deletion = 0
     for level in islice(_levels(1, 10, 1), 9):  # the parents of enumerate --m 9
         for parent_form, (g, autos) in level.items():
-            for child, f in _extend_fixed_order(g, 1, autos) + _extend_by_edges(g, 10, autos):
+            beaten = _beaten_in(g)
+            for child, f in _extend_fixed_order(g, 1, autos, beaten) + _extend_by_edges(g, 10, autos, beaten):
                 tied = _tied_edges(child, f)
                 if tied is None:
                     continue
@@ -327,6 +330,56 @@ def test_keeps_the_same_children_without_automorphisms():
                 assert _keeps(child, f, tied, leaf, (), parent_form) == keeps
                 by_deletion += keeps and len(tied) > 1 and _canonical_edge(tied, leaf) != f
     assert by_deletion == 312
+
+
+@pytest.mark.parametrize(
+    "k, max_n, levels, dropped",
+    [(1, 11, 10, 4208), (1, 8, None, 658), (2, 7, None, 916)],
+    ids=["by-edges-m10", "by-order-n8", "k2-by-order-n7"],
+)
+def test_prefilter_drops_only_children_the_invariant_drops(k, max_n, levels, dropped):
+    # for every parent of enumerate --m 10, of --n 8 and of K_{2,3}-free
+    # --n 7: the extensions are the unfiltered ones in the same order, less
+    # some children, each of which _tied_edges would drop
+    dropped_here = 0
+    for level in islice(_levels(k, max_n, 1), levels):
+        for g, autos in level.values():
+            beaten = _beaten_in(g)
+            ours = _extend_fixed_order(g, k, autos, beaten) + _extend_by_edges(g, max_n, autos, beaten)
+            full = reference_extend_fixed_order(g, k, autos) + reference_extend_by_edges(g, max_n, autos)
+            kept = iter(ours)
+            nxt = next(kept, None)
+            for child, f in full:
+                if nxt is not None and (child, f) == nxt:
+                    nxt = next(kept, None)
+                else:
+                    assert _tied_edges(child, f) is None, (g, f)
+                    dropped_here += 1
+            assert nxt is None  # every child made is an unfiltered child, in order
+    assert dropped_here == dropped
+
+
+@pytest.mark.parametrize(
+    "stream",
+    [
+        lambda **kw: enumerate_c4free_by_edges(9, **kw),
+        lambda **kw: enumerate_c4free_by_order(7, **kw),
+        lambda **kw: enumerate_kfree_by_order(6, 2, **kw),
+    ],
+    ids=["by-edges-m9", "by-order-n7", "k2-by-order-n6"],
+)
+def test_unions_with_their_pieces(stream):
+    # the same graphs in the same order; each union is its connected pieces
+    # laid out one after the other, the first on the first vertices
+    pairs = list(stream(with_pieces=True))
+    assert [g for g, _ in pairs] == list(stream())
+    assert any(len(pieces) > 1 for _, pieces in pairs)
+    for g, pieces in pairs:
+        rows = ()
+        for p in pieces:
+            assert p.is_connected()
+            rows += tuple(r << len(rows) for r in p.rows)
+        assert rows == g.rows
 
 
 def test_class_from_two_parents_raises(monkeypatch):

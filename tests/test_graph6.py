@@ -6,8 +6,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from c4free import graph6
+from c4free.enumeration import enumerate_c4free_by_edges, enumerate_c4free_by_order
 from c4free.graph import Graph, GraphError, make_snk, make_star
 from conftest import random_graph
+
+
+def reference_encode(g: Graph) -> str:
+    """graph6 one bit at a time: the upper triangle column by column, cut
+    into 6-bit groups, the first bit of each most significant."""
+    bits = []
+    for v in range(g.n):
+        for u in range(v):
+            bits.append(g.rows[u] >> v & 1)
+    while len(bits) % 6:
+        bits.append(0)
+    chars = []
+    for i in range(0, len(bits), 6):
+        val = 0
+        for b in bits[i : i + 6]:
+            val = val << 1 | b
+        chars.append(chr(val + 63))
+    return graph6._encode_n(g.n) + "".join(chars)
 
 
 def test_known_encodings():
@@ -84,3 +103,29 @@ def test_roundtrip_property(n, mask):
     edges = [e for i, e in enumerate(pairs) if mask >> i & 1]
     g = Graph.from_edges(n, edges)
     assert graph6.decode(graph6.encode(g)) == g
+
+
+def _assert_encodes_as_reference(graphs):
+    for g in graphs:
+        s = graph6.encode(g)
+        assert s == reference_encode(g), g
+        assert graph6.decode(s) == g
+
+
+def test_encode_matches_reference_on_enumerated_graphs():
+    graphs = list(enumerate_c4free_by_edges(10)) + list(enumerate_c4free_by_order(8))
+    assert len(graphs) == 2345 + 351
+    _assert_encodes_as_reference(graphs)
+
+
+def test_encode_matches_reference_on_random_graphs(rng):
+    _assert_encodes_as_reference(random_graph(rng, rng.randint(0, 40), rng.uniform(0.0, 0.9)) for _ in range(300))
+
+
+@pytest.mark.parametrize("n", [0, 1, 62, 63, 64])
+def test_encode_matches_reference_around_the_long_header(n, rng):
+    # 62 is the last order of the one-character header, 63 the first of "~"
+    graphs = [Graph.empty(n), random_graph(rng, n, 0.5)]
+    if n:
+        graphs += [make_star(n), Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])]
+    _assert_encodes_as_reference(graphs)

@@ -86,36 +86,39 @@ def test_perfbench_selftest():
 
 
 def test_traced_enumerate_counts(tmp_path):
-    # the canonical-parent test canonizes 19 of the 31 children, and never
-    # a child minus its canonical edge at this size; one more call for K_1.
-    # A child counted twice by the tracer moves the children count
+    # the parent-side prefilter leaves 23 of the 31 children; the
+    # canonical-parent test canonizes 19 of them, and never a child minus
+    # its canonical edge at this size; one more call for K_1. A child
+    # counted twice by the tracer moves the children count
     stdout, payload = _traced(["enumerate", "--m", "5"], tmp_path)
     layers = payload["layers"]
     assert layers["enumeration.classes"] == len(stdout.splitlines()) == 23
-    assert layers["enumeration.children"] == 31
+    assert layers["enumeration.children"] == 23
     assert layers["canon.calls"] == 20
 
 
 def test_traced_enumerate_prunes_by_orbit(tmp_path):
     # one child per orbit of the parent's automorphisms: without the
-    # pruning, enumerate --m 9 makes 3,766 children; with it, 2,271. The
-    # canonical-parent test canonizes 568 of them, about one per connected
-    # class (562 with 1 to 9 edges), and 6 children minus their canonical
-    # edge; one more call for K_1
+    # pruning, enumerate --m 9 makes 3,766 children; with it, 2,271, and
+    # 1,090 once the parent-side prefilter drops the children that a
+    # disjoint deletable edge beats. The canonical-parent test canonizes
+    # 568 of them, about one per connected class (562 with 1 to 9 edges),
+    # and 6 children minus their canonical edge; one more call for K_1
     stdout, payload = _traced(["enumerate", "--m", "9"], tmp_path)
     layers = payload["layers"]
     assert layers["enumeration.classes"] == len(stdout.splitlines()) == 863
-    assert layers["enumeration.children"] == 2271
+    assert layers["enumeration.children"] == 1090
     assert layers["canon.calls"] == 575 <= 700
 
 
 def test_traced_enumerate_by_order_counts(tmp_path):
     # by order, most classes are unions with K_1 components; they are
-    # composed, so no union is canonized
+    # composed, so no union is canonized. The prefilter leaves 165 of the
+    # 295 children
     stdout, payload = _traced(["enumerate", "--n", "7"], tmp_path)
     layers = payload["layers"]
     assert layers["enumeration.classes"] == len(stdout.splitlines()) == 117
-    assert layers["enumeration.children"] == 295
+    assert layers["enumeration.children"] == 165
     assert layers["canon.calls"] == 91
 
 

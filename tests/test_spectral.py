@@ -22,6 +22,7 @@ from c4free.spectral import (
     spectral_radius,
     spectral_radius_stream,
     to_numpy,
+    union_radii,
     xmin,
 )
 from conftest import random_connected_graph, random_graph
@@ -142,18 +143,53 @@ def assert_same_results(graphs):
         assert r.vec.dtype == ref.vec.dtype and r.vec.tobytes() == ref.vec.tobytes(), g
 
 
+def assert_same_union_results(unions):
+    """union_radii gives each union, from its pieces, the reference loop's
+    result, bit for bit."""
+    unions = list(unions)
+    out = list(union_radii(unions))
+    assert [g for g, _ in out] == [g for g, _ in unions]
+    for g, r in out:
+        ref = reference_spectral_radius(g)
+        assert (r.mu, r.residual, r.iters) == (ref.mu, ref.residual, ref.iters), g
+        vec = r.perron()
+        assert vec.dtype == ref.vec.dtype and vec.tobytes() == ref.vec.tobytes(), g
+
+
+STREAMS = pytest.mark.parametrize(
+    "stream",
+    [
+        lambda **kw: enumerate_c4free_by_edges(10, **kw),
+        lambda **kw: enumerate_c4free_by_order(8, **kw),
+        lambda **kw: enumerate_kfree_by_order(7, 2, **kw),
+    ],
+    ids=["enumerate --m 10", "enumerate --n 8", "K_{2,3}-free --n 7"],
+)
+
+
 class TestStream:
-    @pytest.mark.parametrize(
-        "stream",
-        [
-            lambda: enumerate_c4free_by_edges(10),
-            lambda: enumerate_c4free_by_order(8),
-            lambda: enumerate_kfree_by_order(7, 2),
-        ],
-        ids=["enumerate --m 10", "enumerate --n 8", "K_{2,3}-free --n 7"],
-    )
+    @STREAMS
     def test_matches_reference_on_streams(self, stream):
         assert_same_results(stream())
+
+    @STREAMS
+    def test_unions_from_pieces_match_reference(self, stream):
+        assert_same_union_results(stream(with_pieces=True))
+
+    def test_unions_of_repeated_pieces_match_reference(self):
+        # more than two blocks of unions, pieces repeated within and across
+        # them, K_1 among them
+        rng = random.Random(20261021)
+        unions = []
+        for _ in range(2 * spectral.STREAM_BLOCK + 7):
+            pieces = [random_connected_graph(rng, rng.randint(1, 6), rng.randint(0, 3)) for _ in range(rng.randint(1, 3))]
+            pieces += rng.sample(pieces, rng.randint(0, len(pieces)))
+            rows = ()
+            for p in pieces:
+                rows += tuple(r << len(rows) for r in p.rows)
+            unions.append((Graph(len(rows), rows), pieces))
+        assert any(p.n == 1 for _, pieces in unions for p in pieces)
+        assert_same_union_results(unions)
 
     def test_matches_reference_on_interleaved_components(self):
         # more than two blocks, with components repeated within and across graphs
@@ -287,9 +323,16 @@ class TestSnkClosedForm:
     def test_star_case(self, n):
         assert snk_mu(n, 0) == pytest.approx(math.sqrt(n - 1), abs=1e-12)
 
-    def test_order_one_refused(self):
+    def test_order_one_is_k1(self):
+        # S_{1,0} = K_1: mu = 0, not the cubic's largest root 1
+        assert snk_mu(1, 0) == 0.0
         with pytest.raises(ValueError, match=r"^need n >= 2$"):
-            snk_mu(1, 0)
+            xmin(1)
+
+    def test_matches_the_eigensolver_on_every_snk(self):
+        for n in range(1, 15):
+            for k in range((n - 1) // 2 + 1):
+                assert abs(snk_mu(n, k) - spectral_radius(make_snk(n, k)).mu) <= 1e-12, (n, k)
 
     def test_cubic_root(self):
         for n, k in [(9, 1), (12, 3), (30, 10)]:

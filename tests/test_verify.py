@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 
@@ -9,7 +8,7 @@ import pytest
 from c4free import graph6, spectral, verify
 from c4free.canon import canonical_form
 from c4free.graph import Graph, SnkParams, make_friendship, make_snk, make_star
-from c4free.spectral import ConvergenceError, snk_mu, spectral_radius_stream
+from c4free.spectral import ConvergenceError, snk_mu, union_radii
 from c4free.verify import (
     EQ_FRIENDSHIP,
     EQ_S91,
@@ -121,25 +120,25 @@ class TestTheorem1:
 
 class TestViolation:
     # mu(K_{1,4}) = 2 against a bound of 1: a real violation through the fold
-    SPEC = _Check("t", {}, [make_star(5)], lambda mu: mu, 1.0, None)
+    SPEC = _Check("t", {}, [(make_star(5), (make_star(5),))], lambda mu: mu, 1.0, None)
 
     def _fold_with_residual(self, monkeypatch, residual):
-        def solve(graphs):
-            for g, r in spectral_radius_stream(graphs):
-                yield g, dataclasses.replace(r, residual=residual)
+        def solve(unions):
+            for g, r in union_radii(unions):
+                yield g, r._replace(residual=residual)
 
-        monkeypatch.setattr(verify, "spectral_radius_stream", solve)
+        monkeypatch.setattr(verify, "union_radii", solve)
         return _fold(self.SPEC, None)
 
     def test_one_solve_per_graph(self, monkeypatch):
         calls = []
 
-        def counting(graphs):
-            for g, r in spectral_radius_stream(graphs):
+        def counting(unions):
+            for g, r in union_radii(unions):
                 calls.append(g)
                 yield g, r
 
-        monkeypatch.setattr(verify, "spectral_radius_stream", counting)
+        monkeypatch.setattr(verify, "union_radii", counting)
         s = _fold(self.SPEC, None)
         assert len(calls) == 1
         assert not s.ok
