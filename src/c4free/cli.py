@@ -145,7 +145,7 @@ _SHARED = {
     "workers": dict(
         type=int,
         default=1,
-        help="worker processes for each enumeration level, or for the restarts of search (default 1)",
+        help="worker processes for the subtrees of an enumeration walk, one pool per stream, or for the restarts of search (default 1)",
     ),
     "output": dict(help="write one record per graph here, in --format"),
     "format": dict(

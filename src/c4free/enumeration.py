@@ -2,13 +2,13 @@
 Isomorphism-free generation of C4-free (more generally K_{2,k+1}-free)
 graphs, by edge count or by order.
 
-Connected classes come from one level-synchronous edge augmentation from
-K_1: level j holds one class per connected K_{2,k+1}-free graph with j
-edges and at most max_n vertices. A parent is extended by an edge between
-present vertices, pruned first if it creates a K_{2,k+1}, and by a pendant
-edge to a fresh vertex; one non-edge per orbit of non-edges, and one
-vertex per orbit of vertices, under the automorphisms the canonizer
-proved on the parent.
+Connected classes come from one edge augmentation from K_1, walked depth
+first as a tree. A node is a connected K_{2,k+1}-free class with its
+canonical form and the automorphisms the canonizer proved on it, which
+live only while the node is on the walk's stack. A parent is extended by
+an edge between present vertices, pruned first if it creates a K_{2,k+1},
+and by a pendant edge to a fresh vertex; one non-edge per orbit of
+non-edges, and one vertex per orbit of vertices, under its automorphisms.
 
 Each class is kept from exactly one parent, by B. D. McKay's
 canonical-parent test ("Isomorph-free exhaustive generation", J.
@@ -33,17 +33,18 @@ plus f, is kept if and only if its canonical parent is that parent:
   with the parent's form. This last test needs no automorphism, so it
   holds when the canonizer proves only a subgroup of the group.
 
-This is complete: a class's canonical parent lies on the level below,
-and the extension of that parent's representative by the image of the
+This is complete: a class's canonical parent has one edge fewer, and
+the extension of that parent's representative by the image of the
 canonical edge, or by an edge in its orbit under the parent's
 automorphisms, is a child in the class whose added edge plays the
 canonical edge's part, and is kept. A class has one canonical parent, so
 no other parent keeps it; within one parent its repeats, children in one
 orbit of the full group that the proved subgroup did not join, are
-dropped by form. A level is the parts of its parents joined, a class kept
-from two parents raises, and a class's representative is the first child
-of its canonical parent's representative in it, whatever the worker
-count.
+dropped by form. So the walk meets each class once, a class kept from
+two parents raises when the pieces are sorted, and a class's
+representative is the first child of its canonical parent's
+representative in it, whatever the worker count: more workers share the
+subtrees below a breadth-first start through one pool (see _classes).
 
 Every other class is a disjoint union of connected classes, one per
 multiset of them, so unions are composed and never canonized. By edges the
@@ -57,9 +58,8 @@ each union over with its pieces, so the verify folds solve the pieces.
 
 from __future__ import annotations
 
-from itertools import islice
 from operator import getitem
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar
+from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from .canon import Automorphism, canonical_form
 from .graph import Graph, _bits, adding_edge_creates_k2kp1
@@ -69,7 +69,7 @@ MAX_ORDER = 10
 
 Autos = Tuple[Automorphism, ...]
 Edge = Tuple[int, int]  # (u, v) with u < v
-Level = Dict[bytes, Tuple[Graph, Autos]]  # canonical form -> (class, automorphisms proved on it)
+Node = Tuple[bytes, Graph, Autos]  # canonical form, class, automorphisms proved on it
 Beaten = Callable[[int, int, int], bool]  # see _beaten_in
 _P = TypeVar("_P")
 
@@ -99,8 +99,7 @@ def enumerate_c4free_by_edges(
     composer (see the module docstring). With with_pieces, each item is the
     graph and its connected pieces in layout order (see _unions)."""
     _check_request("by-edges", m, MAX_EDGES, 1, workers, cap_override)
-    levels = islice(_levels(1, m + 1, workers), 1, m + 1)
-    yield from _unions(_pieces(levels, lambda g: g.m), m, with_pieces)
+    yield from _unions(_pieces(_classes(1, m + 1, m, workers)[1:], lambda g: g.m), m, with_pieces)  # K_1 left out
 
 
 def enumerate_c4free_by_order(
@@ -119,14 +118,18 @@ def enumerate_kfree_by_order(
     """One representative per isomorphism class of K_{2,k+1}-free graphs on
     exactly n vertices, in the order of enumerate_c4free_by_order."""
     _check_request("by-order", n, MAX_ORDER, k, workers, cap_override)
-    yield from _unions(_pieces(_levels(k, n, workers), lambda g: g.n), n, with_pieces)
+    yield from _unions(_pieces(_classes(k, n, n * (n - 1) // 2, workers), lambda g: g.n), n, with_pieces)
 
 
-def _pieces(levels: Iterable[Level], size: Callable[[Graph], int]) -> List[Tuple[int, Graph]]:
-    """(size, class) for every class of the levels, by size, then by
-    canonical form."""
-    keyed = sorted(((size(g), key), g) for level in levels for key, (g, _) in level.items())
-    return [(s, g) for (s, _), g in keyed]
+def _pieces(classes: list, size: Callable[[Graph], int]) -> List[Tuple[int, Graph]]:
+    """classes, (canonical form, class) pairs, made (size, class) in place
+    and sorted by size, then by canonical form; a form met twice raises."""
+    classes.sort(key=lambda c: (size(c[1]), c[0]))
+    for i, (form, g) in enumerate(classes):
+        if i + 1 < len(classes) and classes[i + 1][0] == form:
+            raise RuntimeError(f"class of {g} kept from two parents; the canonical-parent test is broken")
+        classes[i] = (size(g), g)
+    return classes
 
 
 def _unions(pieces: List[Tuple[int, Graph]], total: int, with_pieces: bool) -> Iterator:
@@ -155,15 +158,35 @@ def _unions(pieces: List[Tuple[int, Graph]], total: int, with_pieces: bool) -> I
     yield from grow(0, total, ())
 
 
-def _levels(k: int, max_n: int, workers: int) -> Iterator[Level]:
-    """Level j = 0, 1, ...: the connected K_{2,k+1}-free classes with j
-    edges and at most max_n vertices, keyed by canonical form; stops after
-    the last nonempty level."""
+def _classes(k: int, max_n: int, max_m: int, workers: int) -> List[Tuple[bytes, Graph]]:
+    """(canonical form, class) of every connected K_{2,k+1}-free class within
+    max_n vertices and max_m edges, K_1 first. More workers deal 4 * workers
+    subtrees or more round-robin to one pool, better balanced than chunks."""
     g0 = Graph.empty(1)
-    level: Level = {canonical_form(g0): (g0, ())}
-    while level:
-        yield level
-        level = _merge_levels(level, k, max_n, workers)
+    nodes: List[Node] = [(canonical_form(g0), g0, ())]
+    classes = _subtrees((nodes, k, max_n, max_m, 4 * workers if workers > 1 else 0))
+    if nodes:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for part in pool.map(_subtrees, [(nodes[w::workers], k, max_n, max_m, 0) for w in range(workers)]):
+                classes += part
+    return classes
+
+
+def _subtrees(args: Tuple[List[Node], int, int, int, int]) -> List[Tuple[bytes, Graph]]:
+    return [node[:2] for node in _walk(*args)]
+
+
+def _walk(nodes: List[Node], k: int, max_n: int, max_m: int, frontier: int = 0) -> Iterator[Node]:
+    """Takes out of nodes, and yields, every node of their subtrees (max_m
+    edges make a leaf): depth first, so automorphisms live only on the
+    stack, or with a frontier breadth first until that many nodes wait."""
+    while nodes and not 0 < frontier <= len(nodes):
+        node = nodes.pop(0 if frontier else -1)
+        yield node
+        if node[1].m < max_m:
+            nodes += _children(node, k, max_n)
 
 
 def _orbit(x: _P, autos: Autos, image: Callable[[Automorphism, _P], _P]) -> Set[_P]:
@@ -354,47 +377,23 @@ def _keeps(child: Graph, f: Edge, tied: List[Edge], leaf: Sequence[int], autos: 
     return canonical_form(child.remove_edge(*e).strip_isolated()) == parent_form
 
 
-def _children_chunk(args: Tuple[List[Tuple[bytes, Tuple[Graph, Autos]]], int, int]) -> List[Tuple[bytes, Graph, Autos]]:
-    """The children the parents keep (see _keeps), one per class, each
-    with its canonical form and the automorphisms proved on it; parents
-    are (canonical form, (class, automorphisms)) pairs."""
-    parents, k, max_n = args
-    kept: List[Tuple[bytes, Graph, Autos]] = []
-    for parent_form, (g, autos) in parents:
-        # a class is kept from this parent or not, whichever of its children
-        # comes first: only the first is judged
-        judged: Set[bytes] = set()
-        beaten = _beaten_in(g)
-        for child, f in _extend_fixed_order(g, k, autos, beaten) + _extend_by_edges(g, max_n, autos, beaten):
-            tied = _tied_edges(child, f)
-            if tied is None:
-                continue
-            found: List[Automorphism] = []
-            leaf: List[int] = []
-            form = canonical_form(child, found, leaf)
-            if form in judged:
-                continue
-            judged.add(form)
-            if _keeps(child, f, tied, leaf, tuple(found), parent_form):
-                kept.append((form, child, tuple(found)))
-    return kept
-
-
-def _merge_levels(parents: Level, k: int, max_n: int, workers: int) -> Level:
-    plist = list(parents.items())
-    if workers <= 1 or len(plist) < 4 * workers:
-        parts = [_children_chunk((plist, k, max_n))]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # parents dealt round-robin, which balances the workers better than
-        # contiguous chunks
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_children_chunk, [(plist[w::workers], k, max_n) for w in range(workers)]))
-    level: Level = {}
-    for part in parts:
-        for form, child, autos in part:
-            if form in level:
-                raise RuntimeError(f"class of {child} kept from two parents; the canonical-parent test is broken")
-            level[form] = (child, autos)
-    return level
+def _children(node: Node, k: int, max_n: int) -> Iterator[Node]:
+    """The children node keeps (see _keeps), one per class, each a node
+    with at most max_n vertices."""
+    parent_form, g, autos = node
+    # a class is kept from this parent or not, whichever of its children
+    # comes first: only the first is judged
+    judged: Set[bytes] = set()
+    beaten = _beaten_in(g)
+    for child, f in _extend_fixed_order(g, k, autos, beaten) + _extend_by_edges(g, max_n, autos, beaten):
+        tied = _tied_edges(child, f)
+        if tied is None:
+            continue
+        found: List[Automorphism] = []
+        leaf: List[int] = []
+        form = canonical_form(child, found, leaf)
+        if form in judged:
+            continue
+        judged.add(form)
+        if _keeps(child, f, tied, leaf, tuple(found), parent_form):
+            yield form, child, tuple(found)

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from c4free import enumeration
+from c4free.canon import canonical_form
 from c4free.graph import Graph
 
 
@@ -25,6 +27,14 @@ def random_connected_graph(rng: random.Random, n: int, extra: int = 3) -> Graph:
         if u != v and not g.has_edge(u, v):
             g = g.add_edge(u, v)
     return g
+
+
+def walk_from_k1(k: int, max_n: int, max_m: int):
+    """Every node (canonical form, class, automorphisms proved on it) of the
+    enumeration tree from K_1 within max_n vertices and max_m edges, depth
+    first, as one worker walks it."""
+    g0 = Graph.empty(1)
+    return enumeration._walk([(canonical_form(g0), g0, ())], k, max_n, max_m)
 
 
 @pytest.fixture(scope="session")

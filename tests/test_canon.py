@@ -3,12 +3,11 @@ from __future__ import annotations
 import itertools
 import random
 
-from c4free import enumeration
 from c4free.canon import _Canonizer, canonical_form, canonical_labeling
 from c4free.graph import Graph, make_friendship, make_snk, make_star
 from canon_reference import _Canonizer as _ReferenceCanonizer
 from canon_reference import _mask, reference_canon
-from conftest import random_graph
+from conftest import random_graph, walk_from_k1
 from enumeration_reference import reference_extend_by_edges, reference_extend_fixed_order
 
 
@@ -154,10 +153,9 @@ def _enumeration_children(m):
     canonizer meets in enumeration, and the graphs of the same sizes that
     the prefilter drops before they are built."""
     out = []
-    for level in itertools.islice(enumeration._levels(1, m + 1, 1), m):
-        for g, autos in level.values():
-            made = reference_extend_fixed_order(g, 1, autos) + reference_extend_by_edges(g, m + 1, autos)
-            out += [child for child, _ in made]
+    for _, g, autos in walk_from_k1(1, m + 1, m - 1):
+        made = reference_extend_fixed_order(g, 1, autos) + reference_extend_by_edges(g, m + 1, autos)
+        out += [child for child, _ in made]
     return out
 
 

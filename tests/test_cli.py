@@ -377,7 +377,7 @@ def test_unusable_path_fails_before_the_work(command, flag, kind, tmp_path, monk
     def never(*args):
         raise AssertionError("the work started")
 
-    monkeypatch.setattr(enumeration, "_levels", never)
+    monkeypatch.setattr(enumeration, "_classes", never)
     monkeypatch.setattr(search, "_climb_once", never)
     target = _unusable(kind, tmp_path)
     before = sorted(os.listdir(tmp_path))
@@ -395,7 +395,7 @@ def test_unusable_path_fails_before_the_work(command, flag, kind, tmp_path, monk
 @pytest.mark.parametrize("through", ["same path", "symlink"])
 @pytest.mark.parametrize("command", sorted(c for c in FILE_RUNS if len(_file_flags(c)) > 1))
 def test_two_flags_naming_one_file_fail_before_the_work(command, through, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(enumeration, "_levels", lambda *args: pytest.fail("the work started"))
+    monkeypatch.setattr(enumeration, "_classes", lambda *args: pytest.fail("the work started"))
     target = tmp_path / "same.json"
     target.write_text("earlier\n")
     other = target
@@ -577,11 +577,31 @@ def test_verify_command_strict_json(command, capsys):
 def test_enumerate_independent_of_workers(size, capsys):
     _, one = run(capsys, "enumerate", *size, "--workers", "1")
     _, two = run(capsys, "enumerate", *size, "--workers", "2")
-    assert one == two
+    _, three = run(capsys, "enumerate", *size, "--workers", "3")
+    assert one == two == three
+
+
+@pytest.mark.parametrize("size", [["--m", "10"], ["--n", "9"]])
+def test_one_worker_pool_per_stream(size, capsys, monkeypatch):
+    # the subtrees of the enumeration walk go to one pool for the stream,
+    # not one per edge count
+    import concurrent.futures
+
+    pools = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    code, out = run(capsys, "enumerate", *size, "--workers", "2")
+    assert code == 0 and out
+    assert len(pools) == 1
 
 
 def test_verify_k2k1_independent_of_workers(capsys, tmp_path):
-    # the K_{2,3}-free levels carry their own automorphisms to the workers
+    # the K_{2,3}-free subtrees carry their roots' automorphisms to the workers
     outputs = []
     for workers in ("1", "2"):
         records = tmp_path / f"k2k1-{workers}.jsonl"

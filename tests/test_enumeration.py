@@ -15,6 +15,7 @@ on n_G vertices has 7!/(|Aut G| (7 - n_G)!) labelled copies on 7.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import cache
 from itertools import combinations, islice
 from math import factorial
@@ -34,10 +35,10 @@ from c4free.enumeration import (
     _beaten_in,
     _canonical_edge,
     _check_request,
+    _classes,
     _extend_by_edges,
     _extend_fixed_order,
     _keeps,
-    _levels,
     _on_cycle,
     _tied_edges,
     enumerate_c4free_by_edges,
@@ -45,7 +46,7 @@ from c4free.enumeration import (
     enumerate_kfree_by_order,
 )
 from c4free.graph import Graph
-from conftest import random_connected_graph
+from conftest import random_connected_graph, walk_from_k1
 from enumeration_reference import reference_extend_by_edges, reference_extend_fixed_order, reference_levels
 
 
@@ -279,35 +280,38 @@ def _first_child_per_class(g, k, max_n, autos):
 
 
 @pytest.mark.parametrize(
-    "k, max_n, levels",
-    [(1, 10, 9), (1, 7, None), (2, 6, None)],
+    "k, max_n, max_m",
+    [(1, 10, 8), (1, 7, 21), (2, 6, 15)],
     ids=["by-edges-m9", "by-order-n7", "k2-by-order-n6"],
 )
-def test_orbit_pruning_keeps_every_class(k, max_n, levels):
-    # the parents of enumerate --m 9 (levels of at most 8 edges), of --n 7,
-    # and of K_{2,3}-free --n 6: extending by one edge per orbit of the
-    # automorphisms the canonizer proved gives every class the full
+def test_orbit_pruning_keeps_every_class(k, max_n, max_m):
+    # the parents of enumerate --m 9 (the nodes of at most 8 edges), of
+    # --n 7, and of K_{2,3}-free --n 6: extending by one edge per orbit of
+    # the automorphisms the canonizer proved gives every class the full
     # extension gives, with the same first child
     parents = 0
-    for level in islice(_levels(k, max_n, 1), levels):
-        for g, autos in level.values():
-            parents += 1
-            pruned = _first_child_per_class(g, k, max_n, autos)
-            assert pruned == _first_child_per_class(g, k, max_n, ())
+    for _, g, autos in walk_from_k1(k, max_n, max_m):
+        parents += 1
+        pruned = _first_child_per_class(g, k, max_n, autos)
+        assert pruned == _first_child_per_class(g, k, max_n, ())
     assert parents > 50
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize(
-    "k, max_n, levels",
-    [(1, 11, 11), (1, 8, None), (2, 7, None)],
+    "k, max_n, max_m",
+    [(1, 11, 10), (1, 8, 28), (2, 7, 21)],
     ids=["by-edges-m10", "by-order-n8", "k2-by-order-n7"],
 )
-def test_levels_match_reference(k, max_n, levels, workers):
+def test_levels_match_reference(k, max_n, max_m, workers):
     # the canonical-parent test keeps the classes that canonizing every
-    # child keeps, level by level; a class kept from two parents raises
-    ours = [sorted(level) for level in islice(_levels(k, max_n, workers), levels)]
-    assert ours == [sorted(level) for level in islice(reference_levels(k, max_n), levels)]
+    # child keeps, grouped by edge count; each class is met once, so a
+    # class kept from two parents shows as a repeated form
+    ours = defaultdict(list)
+    for form, g in _classes(k, max_n, max_m, workers):
+        ours[g.m].append(form)
+    reference = islice(reference_levels(k, max_n), max_m + 1)
+    assert [sorted(ours[j]) for j in sorted(ours)] == [sorted(level) for level in reference]
 
 
 def test_keeps_the_same_children_without_automorphisms():
@@ -317,45 +321,43 @@ def test_keeps_the_same_children_without_automorphisms():
     # Enumeration never reaches that branch at these sizes, so this is
     # where it is tested.
     by_deletion = 0
-    for level in islice(_levels(1, 10, 1), 9):  # the parents of enumerate --m 9
-        for parent_form, (g, autos) in level.items():
-            beaten = _beaten_in(g)
-            for child, f in _extend_fixed_order(g, 1, autos, beaten) + _extend_by_edges(g, 10, autos, beaten):
-                tied = _tied_edges(child, f)
-                if tied is None:
-                    continue
-                found, leaf = [], []
-                canonical_form(child, found, leaf)
-                keeps = _keeps(child, f, tied, leaf, tuple(found), parent_form)
-                assert _keeps(child, f, tied, leaf, (), parent_form) == keeps
-                by_deletion += keeps and len(tied) > 1 and _canonical_edge(tied, leaf) != f
+    for parent_form, g, autos in walk_from_k1(1, 10, 8):  # the parents of enumerate --m 9
+        beaten = _beaten_in(g)
+        for child, f in _extend_fixed_order(g, 1, autos, beaten) + _extend_by_edges(g, 10, autos, beaten):
+            tied = _tied_edges(child, f)
+            if tied is None:
+                continue
+            found, leaf = [], []
+            canonical_form(child, found, leaf)
+            keeps = _keeps(child, f, tied, leaf, tuple(found), parent_form)
+            assert _keeps(child, f, tied, leaf, (), parent_form) == keeps
+            by_deletion += keeps and len(tied) > 1 and _canonical_edge(tied, leaf) != f
     assert by_deletion == 312
 
 
 @pytest.mark.parametrize(
-    "k, max_n, levels, dropped",
-    [(1, 11, 10, 4208), (1, 8, None, 658), (2, 7, None, 916)],
+    "k, max_n, max_m, dropped",
+    [(1, 11, 9, 4208), (1, 8, 28, 658), (2, 7, 21, 916)],
     ids=["by-edges-m10", "by-order-n8", "k2-by-order-n7"],
 )
-def test_prefilter_drops_only_children_the_invariant_drops(k, max_n, levels, dropped):
+def test_prefilter_drops_only_children_the_invariant_drops(k, max_n, max_m, dropped):
     # for every parent of enumerate --m 10, of --n 8 and of K_{2,3}-free
     # --n 7: the extensions are the unfiltered ones in the same order, less
     # some children, each of which _tied_edges would drop
     dropped_here = 0
-    for level in islice(_levels(k, max_n, 1), levels):
-        for g, autos in level.values():
-            beaten = _beaten_in(g)
-            ours = _extend_fixed_order(g, k, autos, beaten) + _extend_by_edges(g, max_n, autos, beaten)
-            full = reference_extend_fixed_order(g, k, autos) + reference_extend_by_edges(g, max_n, autos)
-            kept = iter(ours)
-            nxt = next(kept, None)
-            for child, f in full:
-                if nxt is not None and (child, f) == nxt:
-                    nxt = next(kept, None)
-                else:
-                    assert _tied_edges(child, f) is None, (g, f)
-                    dropped_here += 1
-            assert nxt is None  # every child made is an unfiltered child, in order
+    for _, g, autos in walk_from_k1(k, max_n, max_m):
+        beaten = _beaten_in(g)
+        ours = _extend_fixed_order(g, k, autos, beaten) + _extend_by_edges(g, max_n, autos, beaten)
+        full = reference_extend_fixed_order(g, k, autos) + reference_extend_by_edges(g, max_n, autos)
+        kept = iter(ours)
+        nxt = next(kept, None)
+        for child, f in full:
+            if nxt is not None and (child, f) == nxt:
+                nxt = next(kept, None)
+            else:
+                assert _tied_edges(child, f) is None, (g, f)
+                dropped_here += 1
+        assert nxt is None  # every child made is an unfiltered child, in order
     assert dropped_here == dropped
 
 
@@ -383,10 +385,13 @@ def test_unions_with_their_pieces(stream):
 
 
 def test_class_from_two_parents_raises(monkeypatch):
-    # with every child kept, K_3 + a pendant edge comes from P_4 and from K_3
+    # with every child kept, a class whose tied deletable edges lie in two
+    # orbits comes from two parents; the first has 8 edges, a tree whose
+    # two tied pendant edges hang on the two ends of one edge. The stream
+    # sorts its pieces and finds the form twice
     monkeypatch.setattr(enumeration, "_keeps", lambda *args: True)
     with pytest.raises(RuntimeError, match="two parents"):
-        list(_levels(1, 10, 1))
+        next(enumerate_c4free_by_edges(8))
 
 
 def test_deletable_edges_are_the_pendant_and_cycle_edges(rng):
